@@ -51,7 +51,7 @@ from .exceptions import (
     ValidationError,
 )
 from .kernels import KERNEL_FAMILIES, KernelSpec
-from .screening import ScreenResult, dc_utility, default_cutoff, screen
+from .screening import dc_utility, default_cutoff, rank_utilities, screen
 from .simulate import RNG_STREAM_ID, censoring_scale, generate
 
 JOBS_ENV_VAR = "SURVSCREEN_JOBS"
@@ -164,27 +164,20 @@ def cmd_screen(parser: _Parser, args) -> int:
         parser.error(f"--gamma must be positive, got {args.gamma}")
 
     data = read_dataset(args.input)
-    d_n = min(default_cutoff(data.n), data.p) if args.dn is None else args.dn
+    if args.dn is not None and args.dn > data.p:
+        parser.error(f"--dn must be at most p = {data.p}, got {args.dn}")
     spec = KernelSpec(family=args.kernel, gamma=args.gamma)
     if args.method == "hsic":
         result = screen(
             data,
             spec_z=spec,
             spec_y=spec,
-            d_n=d_n,
+            d_n=args.dn,
             standardize_covariates=args.standardize_covariates,
         )
     else:
         omega = dc_utility(data, standardize_covariates=args.standardize_covariates)
-        ranking = np.argsort(-omega, kind="stable")
-        result = ScreenResult(
-            omega=omega,
-            ranking=ranking,
-            selected=ranking[:d_n],
-            d_n=d_n,
-            spec_z=None,
-            spec_y=None,
-        )
+        result = rank_utilities(omega, data.n, args.dn)
     write_ranking(args.out, result)
 
     manifest = build_manifest(
@@ -194,7 +187,7 @@ def cmd_screen(parser: _Parser, args) -> int:
         params={
             "method": args.method,
             "kernel": {"family": args.kernel, "gamma": args.gamma},
-            "d_n": d_n,
+            "d_n": result.d_n,
             "n": data.n,
             "p": data.p,
             "standardize_covariates": bool(args.standardize_covariates),

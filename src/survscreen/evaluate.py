@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec
-from .screening import dc_utility, default_cutoff, screen
+from .screening import dc_utility, default_cutoff, rank_utilities, screen
 from .simulate import SimScenario, generate
 
 METHODS = ("hsic", "dc")
@@ -151,10 +151,10 @@ def _screen_one(
     gen = generate(scenario, replication)
     data = gen.dataset
     if method == "hsic":
-        ranking = screen(data, spec_z=spec_z, spec_y=spec_y).ranking
+        result = screen(data, spec_z=spec_z, spec_y=spec_y)
     else:
-        ranking = np.argsort(-dc_utility(data), kind="stable")
-    ranks = rank_positions(ranking, gen.active_set)
+        result = rank_utilities(dc_utility(data), data.n)
+    ranks = rank_positions(result.ranking, gen.active_set)
     return ReplicationRecord(
         scenario_id=scenario_id,
         replication=replication,

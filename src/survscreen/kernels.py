@@ -58,27 +58,35 @@ def _as_points(x) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be a 1-d or 2-d array, got ndim={pts.ndim}")
+    if pts.shape[1] == 0:
+        raise ValueError("points must have at least one coordinate")
     return pts
+
+
+def _pairwise(pts: np.ndarray, l1: bool) -> np.ndarray:
+    """n x n sums over coordinates of |x_i - x_j| (``l1``) or (x_i - x_j)^2.
+
+    Accumulated one coordinate at a time, so (i, j) and (j, i) see identical
+    float ops and the result is exactly symmetric.
+    """
+    fold = np.abs if l1 else np.square
+    acc = None
+    for col in pts.T:
+        diff = np.subtract.outer(col, col)
+        fold(diff, out=diff)
+        acc = diff if acc is None else np.add(acc, diff, out=acc)
+    return acc
 
 
 def _gram_unchecked(pts: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of validated (n, d) points. Symmetric by construction."""
-    n = pts.shape[0]
     if spec.family == "linear":
         k = pts @ pts.T
         # dgemm output is not guaranteed entrywise symmetric
         return (k + k.T) / 2.0
-    # Accumulate per-dimension so (i, j) and (j, i) see identical float ops.
-    acc = np.zeros((n, n))
-    if spec.family == "gaussian":
-        for d in range(pts.shape[1]):
-            diff = pts[:, d][:, None] - pts[:, d][None, :]
-            acc += diff * diff
-        acc *= -1.0 / (2.0 * spec.gamma * spec.gamma)
-    else:  # laplacian
-        for d in range(pts.shape[1]):
-            acc += np.abs(pts[:, d][:, None] - pts[:, d][None, :])
-        acc *= -1.0 / spec.gamma
+    l1 = spec.family == "laplacian"
+    acc = _pairwise(pts, l1)
+    acc *= -1.0 / spec.gamma if l1 else -1.0 / (2.0 * spec.gamma * spec.gamma)
     np.exp(acc, out=acc)
     return acc
 

@@ -10,12 +10,12 @@ provided as an optional baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _gram_unchecked, center, gram, hsic
+from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _gram_unchecked, _pairwise, center, gram, hsic
 
 
 @dataclass
@@ -157,8 +157,6 @@ def screen(
     p = data.p
     if p == 0:
         raise ValueError("covariate matrix has zero columns")
-    if d_n is not None and not 1 <= d_n <= p:
-        raise ValueError(f"d_n must be in 1..{p}, got {d_n}")
     response = standardize(data.times, data.status)
     Lc = center(gram(response.y, spec_y))
     Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
@@ -167,30 +165,29 @@ def screen(
     for k in range(p):
         K = _gram_unchecked(Z[:, k][:, None], spec_z)
         omega[k] = hsic(K, Lc)
+    return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
 
+
+def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:
+    """Rank covariates by decreasing utility and select the first ``d_n``.
+
+    Ties are broken by ascending covariate index. ``d_n`` defaults to
+    ``default_cutoff(n)`` capped at p; an explicit ``d_n`` must lie in
+    1..p. The result carries no kernel specs.
+    """
+    p = omega.shape[0]
+    if d_n is not None and not 1 <= d_n <= p:
+        raise ValueError(f"d_n must be in 1..{p}, got {d_n}")
     ranking = np.argsort(-omega, kind="stable")
-    d = default_cutoff(data.n) if d_n is None else d_n
-    d = min(d, p)
+    d = min(default_cutoff(n), p) if d_n is None else d_n
     return ScreenResult(
         omega=omega,
         ranking=ranking,
         selected=ranking[:d].copy(),
         d_n=d,
-        spec_z=spec_z,
-        spec_y=spec_y,
+        spec_z=None,
+        spec_y=None,
     )
-
-
-def _distance_matrix_1d(col: np.ndarray) -> np.ndarray:
-    return np.abs(col[:, None] - col[None, :])
-
-
-def _distance_matrix_rows(y: np.ndarray) -> np.ndarray:
-    acc = np.zeros((y.shape[0], y.shape[0]))
-    for d in range(y.shape[1]):
-        diff = y[:, d][:, None] - y[:, d][None, :]
-        acc += diff * diff
-    return np.sqrt(acc)
 
 
 def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -> np.ndarray:
@@ -203,14 +200,14 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     if data.p == 0:
         raise ValueError("covariate matrix has zero columns")
     response = standardize(data.times, data.status)
-    B = center(_distance_matrix_rows(response.y))
+    B = center(np.sqrt(_pairwise(response.y, l1=False)))
     n = data.n
     dvar_y = float(np.vdot(B, B)) / (n * n)
     Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
 
     values = np.empty(data.p)
     for k in range(data.p):
-        A = center(_distance_matrix_1d(Z[:, k]))
+        A = center(_pairwise(Z[:, k][:, None], l1=True))
         dvar_x = float(np.vdot(A, A)) / (n * n)
         if dvar_x <= 0.0 or dvar_y <= 0.0:
             values[k] = 0.0

@@ -158,6 +158,13 @@ def model_beta(model: str, p: int) -> np.ndarray:
     return beta
 
 
+def _covariate_rows(z) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError(f"z must be an (n, p) covariate matrix, got ndim={z.ndim}")
+    return z
+
+
 def sample_cox_time(z, beta, rng: np.random.Generator):
     """Failure times from the cox model by cumulative-hazard inversion.
 
@@ -166,17 +173,11 @@ def sample_cox_time(z, beta, rng: np.random.Generator):
 
         T = 0.5 + cbrt(3 E exp(-beta'z) - 0.125)
 
-    which is nonnegative for every draw. ``z`` may be a single p-vector or
-    an (n, p) matrix.
+    which is nonnegative for every draw. ``z`` is an (n, p) matrix.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    eta = z @ np.asarray(beta, dtype=np.float64)
-    e = _exponential(rng, 1 if single else eta.shape[0])
-    if single:
-        eta = np.asarray([eta])
-    t = 0.5 + np.cbrt(3.0 * e * np.exp(-eta) - 0.125)
-    return float(t[0]) if single else t
+    eta = _covariate_rows(z) @ np.asarray(beta, dtype=np.float64)
+    e = _exponential(rng, eta.shape[0])
+    return 0.5 + np.cbrt(3.0 * e * np.exp(-eta) - 0.125)
 
 
 def sample_nonlinear_time(z, rng: np.random.Generator, *, log_scale: bool = False):
@@ -184,19 +185,18 @@ def sample_nonlinear_time(z, rng: np.random.Generator, *, log_scale: bool = Fals
 
     log T = (2 + sin z1)^2 + (1 + z5)^3 + 3 z10^2 + z1 z10 + eps with
     eps ~ N(0, 1). The log time only involves covariates 1, 5, and 10.
-    With ``log_scale`` the log time is returned directly; otherwise the
-    raw time is returned and an OverflowError is raised if exp overflows.
+    ``z`` is an (n, p) matrix. With ``log_scale`` the log time is returned
+    directly; otherwise the raw time is returned and an OverflowError is
+    raised if exp overflows.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if z.shape[-1] < 10:
-        raise ValueError(f"nonlinear model needs p >= 10, got {z.shape[-1]}")
-    z2d = z[None, :] if single else z
-    eps = rng.standard_normal(z2d.shape[0])
-    z1, z5, z10 = z2d[:, 0], z2d[:, 4], z2d[:, 9]
+    z = _covariate_rows(z)
+    if z.shape[1] < 10:
+        raise ValueError(f"nonlinear model needs p >= 10, got {z.shape[1]}")
+    eps = rng.standard_normal(z.shape[0])
+    z1, z5, z10 = z[:, 0], z[:, 4], z[:, 9]
     logt = (2.0 + np.sin(z1)) ** 2 + (1.0 + z5) ** 3 + 3.0 * z10**2 + z1 * z10 + eps
     if log_scale:
-        return float(logt[0]) if single else logt
+        return logt
     with np.errstate(over="ignore"):
         t = np.exp(logt)
     if not np.isfinite(t).all():
@@ -204,7 +204,7 @@ def sample_nonlinear_time(z, rng: np.random.Generator, *, log_scale: bool = Fals
             "nonlinear failure time overflows double precision; "
             "use log_scale=True to work with log times"
         )
-    return float(t[0]) if single else t
+    return t
 
 
 def sample_transformation_time(z, beta, rng: np.random.Generator):
@@ -212,34 +212,37 @@ def sample_transformation_time(z, beta, rng: np.random.Generator):
 
     H(t) = log(0.5 (e^{2t} - 1)) inverts to T = 0.5 log(1 + 2 e^w),
     evaluated as 0.5 * logaddexp(0, w + log 2) so large |w| stays stable;
-    the result is positive for every real w.
+    the result is positive for every real w. ``z`` is an (n, p) matrix.
     """
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if z.shape[-1] < 10:
-        raise ValueError(f"transformation model needs p >= 10, got {z.shape[-1]}")
+    z = _covariate_rows(z)
+    if z.shape[1] < 10:
+        raise ValueError(f"transformation model needs p >= 10, got {z.shape[1]}")
     eta = z @ np.asarray(beta, dtype=np.float64)
-    eps = rng.standard_normal(1 if single else eta.shape[0])
-    w = -eta + (eps if not single else eps[0])
-    t = 0.5 * np.logaddexp(0.0, np.asarray(w) + np.log(2.0))
-    return float(t) if single else t
+    w = -eta + rng.standard_normal(eta.shape[0])
+    return 0.5 * np.logaddexp(0.0, w + np.log(2.0))
+
+
+def _sample_times(model: str, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Failure times of ``model`` for covariate rows ``z``; beta spans z's columns."""
+    if model == "cox":
+        return sample_cox_time(z, model_beta("cox", z.shape[1]), rng)
+    if model == "nonlinear":
+        return sample_nonlinear_time(z, rng)
+    return sample_transformation_time(z, model_beta("transformation", z.shape[1]), rng)
+
+
+def _censor_weights(censoring: str, z: np.ndarray) -> np.ndarray:
+    """Per-subject factor on the censoring scale: C ~ Unif(0, scale * weight)."""
+    if censoring == "informative":
+        return np.abs(z[:, 0] - z[:, 1])
+    return np.ones(z.shape[0])
 
 
 def _draw_latent(scenario: SimScenario, size: int, rng: np.random.Generator):
     """Draw (T, censor-scale weights) with covariates truncated to the active range."""
     p_eff = min(scenario.p, max(_MIN_P[scenario.model], 2))
     z = sample_ar1_normal(size, p_eff, scenario.rho, rng)
-    if scenario.model == "cox":
-        t = sample_cox_time(z, model_beta("cox", p_eff), rng)
-    elif scenario.model == "nonlinear":
-        t = sample_nonlinear_time(z, rng)
-    else:
-        t = sample_transformation_time(z, model_beta("transformation", p_eff), rng)
-    if scenario.censoring == "informative":
-        w = np.abs(z[:, 0] - z[:, 1])
-    else:
-        w = np.ones(size)
-    return t, w
+    return _sample_times(scenario.model, z, rng), _censor_weights(scenario.censoring, z)
 
 
 def _censoring_rate(t: np.ndarray, w: np.ndarray, scale: float) -> float:
@@ -354,17 +357,8 @@ def generate(scenario: SimScenario, replication: int = 0) -> GeneratedData:
     rng = replication_rng(scenario.seed, replication)
     scale = censoring_scale(scenario)
     z = sample_ar1_normal(scenario.n, scenario.p, scenario.rho, rng)
-    if scenario.model == "cox":
-        t = sample_cox_time(z, model_beta("cox", scenario.p), rng)
-    elif scenario.model == "nonlinear":
-        t = sample_nonlinear_time(z, rng)
-    else:
-        t = sample_transformation_time(z, model_beta("transformation", scenario.p), rng)
-    u = rng.random(scenario.n)
-    if scenario.censoring == "informative":
-        c = scale * np.abs(z[:, 0] - z[:, 1]) * u
-    else:
-        c = scale * u
+    t = _sample_times(scenario.model, z, rng)
+    c = scale * _censor_weights(scenario.censoring, z) * rng.random(scenario.n)
     status = (t <= c).astype(np.int8)
     dataset = SurvivalDataset(times=np.minimum(t, c), status=status, covariates=z)
     return GeneratedData(

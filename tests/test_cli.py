@@ -1,13 +1,19 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from survscreen import cli
 from survscreen.dataio import read_dataset, read_records, write_dataset
 from survscreen.evaluate import run_experiment
+from survscreen.screening import SurvivalDataset
 from survscreen.simulate import SimScenario, generate
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -97,6 +103,41 @@ class TestScreenCommand:
             float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]
         ]
         assert all(0.0 <= u <= 1.0 for u in utilities)
+
+    @pytest.mark.parametrize("method", ["hsic", "dc"])
+    def test_duplicated_covariate_ties_rank_by_ascending_index(self, tmp_path, method):
+        data = generate(SimScenario("cox", 60, 6, seed=3), 0).dataset
+        Z = data.covariates.copy()
+        Z[:, 4] = Z[:, 1]  # exact duplicate -> exactly tied utilities
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path, SurvivalDataset(data.times, data.status, Z))
+        out = tmp_path / "r.csv"
+        proc = run_cli("screen", "--input", data_path, "--out", out, "--method", method)
+        assert proc.returncode == 0, proc.stderr
+        rows = {
+            line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[1:]
+        }
+        assert rows["z2"][1] == rows["z5"][1]
+        assert int(rows["z5"][2]) == int(rows["z2"][2]) + 1
+
+    @pytest.mark.parametrize("method", ["hsic", "dc"])
+    def test_dn_above_p_exits_4_and_writes_nothing(self, tmp_path, method):
+        data_path = tmp_path / "d.csv"
+        write_cox_dataset(data_path, p=5)
+        out = tmp_path / "r.csv"
+        manifest_path = tmp_path / "r.csv.manifest.json"
+        args = ("screen", "--input", data_path, "--out", out, "--method", method)
+        proc = run_cli(*args, "--dn", 9)
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("survscreen: error: --dn")
+        assert not out.exists() and not manifest_path.exists()
+
+        proc = run_cli(*args, "--dn", 5)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(manifest_path.read_text())["params"]["d_n"] == 5
+        assert sum(line.endswith(",1") for line in out.read_text().splitlines()[1:]) == 5
 
     def test_missing_input_exits_2(self, tmp_path):
         proc = run_cli("screen", "--input", tmp_path / "gone.csv", "--out", tmp_path / "o")
@@ -293,6 +334,15 @@ class TestTopLevel:
 
     def test_no_subcommand_exits_4(self):
         assert run_cli().returncode == 4
+
+    def test_binds_every_name_the_traced_benchmark_wraps(self, monkeypatch):
+        # bench/child.py replaces these attributes of survscreen.cli with
+        # span recorders; a name the CLI stops importing breaks traced runs.
+        monkeypatch.syspath_prepend(str(BENCH))
+        spec = importlib.util.spec_from_file_location("bench_child", BENCH / "child.py")
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        assert [name for name in child.CLI_CALLS if not callable(getattr(cli, name, None))] == []
 
     def test_help_exits_0(self):
         proc = run_cli("--help")

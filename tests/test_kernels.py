@@ -94,6 +94,10 @@ class TestGram:
         with pytest.raises(ValueError, match="at least 2"):
             gram([[1.0]], GAUSSIAN_DEFAULT)
 
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            gram(np.empty((4, 0)), GAUSSIAN_DEFAULT)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             gram([[0.0], [np.nan]], GAUSSIAN_DEFAULT)

@@ -137,11 +137,6 @@ class TestCoxSampler:
         assert t.shape == (20_000,)
         assert np.all(t >= 0.0)
 
-    def test_scalar_input(self):
-        rng = np.random.default_rng(5)
-        t = sample_cox_time(np.zeros(5), model_beta("cox", 5), rng)
-        assert isinstance(t, float) and t >= 0.0
-
     def test_probability_integral_transform(self):
         """Lambda0(T) exp(beta'Z) must be Exponential(1) if the sampler
         inverts the cumulative hazard correctly."""
@@ -203,11 +198,19 @@ class TestTransformationSampler:
         assert np.all(t > 0.0)
         assert np.allclose(np.log(0.5 * np.expm1(2.0 * t)), w, atol=1e-10)
 
-    def test_scalar_input(self):
-        t = sample_transformation_time(
-            np.zeros(10), model_beta("transformation", 10), np.random.default_rng(14)
-        )
-        assert isinstance(t, float) and t > 0.0
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda z, rng: sample_cox_time(z, model_beta("cox", 10), rng),
+        sample_nonlinear_time,
+        lambda z, rng: sample_transformation_time(z, model_beta("transformation", 10), rng),
+    ],
+    ids=["cox", "nonlinear", "transformation"],
+)
+def test_samplers_reject_a_single_covariate_vector(sample):
+    with pytest.raises(ValueError, match=r"\(n, p\) covariate matrix"):
+        sample(np.zeros(10), np.random.default_rng(14))
 
 
 class TestCalibration:
