@@ -20,6 +20,7 @@ fixed by (seed, replication index), so --jobs never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -160,7 +161,9 @@ def build_parser() -> _Parser:
 def cmd_screen(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
-    if args.kernel in ("gaussian", "laplacian") and args.gamma <= 0:
+    if not math.isfinite(args.gamma):
+        parser.error(f"--gamma must be finite, got {args.gamma}")
+    if args.kernel != "linear" and args.gamma <= 0:
         parser.error(f"--gamma must be positive, got {args.gamma}")
 
     data = read_dataset(args.input)

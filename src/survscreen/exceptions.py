@@ -17,7 +17,7 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Parsed input violates a dataset invariant."""
+    """Parsed input violates a dataset invariant or a size limit."""
 
 
 class DegenerateDataError(ValueError):

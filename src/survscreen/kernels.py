@@ -10,6 +10,10 @@ where ``K`` and ``L`` are the Gram matrices of ``u`` and ``v`` and
 Frobenius inner product <K, HLH>, so the expensive centering of the
 response Gram can be done once and reused against many covariate Grams
 at O(n^2) each instead of O(n^3).
+
+The Frobenius product is numpy's fixed-order pairwise sum of the
+elementwise product, never a BLAS dot product, so its bits do not depend
+on the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exceptions import ValidationError
 
 KERNEL_FAMILIES = ("gaussian", "linear", "laplacian")
 
@@ -78,71 +84,90 @@ def _pairwise(pts: np.ndarray, l1: bool) -> np.ndarray:
     return acc
 
 
-def _gram_unchecked(pts: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix of validated (n, d) points. Symmetric by construction."""
-    if spec.family == "linear":
-        k = pts @ pts.T
-        # dgemm output is not guaranteed entrywise symmetric
-        return (k + k.T) / 2.0
-    l1 = spec.family == "laplacian"
-    acc = _pairwise(pts, l1)
-    acc *= -1.0 / spec.gamma if l1 else -1.0 / (2.0 * spec.gamma * spec.gamma)
-    np.exp(acc, out=acc)
-    return acc
+def _kernel_values(acc: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Turn ``_pairwise`` sums into gaussian or laplacian kernel values, in place."""
+    if spec.family == "laplacian":
+        acc *= -1.0 / spec.gamma
+    else:
+        acc *= -1.0 / (2.0 * spec.gamma * spec.gamma)
+    return np.exp(acc, out=acc)
 
 
 def gram(points, spec: KernelSpec = GAUSSIAN_DEFAULT, *, max_samples: int = DEFAULT_MAX_SAMPLES) -> np.ndarray:
-    """Pairwise kernel matrix K[i, j] = k(points[i], points[j]).
+    """Pairwise kernel matrix K[i, j] = k(points[i], points[j]), symmetric by construction.
 
     Accepts an (n,) or (n, d) array of points. Raises ValueError on
-    non-finite coordinates, fewer than two points, or n above
-    ``max_samples``.
+    non-finite coordinates or fewer than two points, and its subclass
+    ValidationError, before allocating, on n above ``max_samples``.
     """
     pts = _as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to form a Gram matrix, got {n}")
     if n > max_samples:
-        raise ValueError(f"n={n} exceeds the Gram matrix sample cap of {max_samples}")
+        raise ValidationError(
+            f"n={n} exceeds the Gram matrix sample cap of {max_samples}; "
+            f"the {n}x{n} Gram would need {n * n * 8 / 2**20:.0f} MiB"
+        )
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or infinite coordinates")
-    return _gram_unchecked(pts, spec)
+    if spec.family == "linear":
+        k = pts @ pts.T
+        # dgemm output is not guaranteed entrywise symmetric
+        return (k + k.T) / 2.0
+    return _kernel_values(_pairwise(pts, spec.family == "laplacian"), spec)
 
 
-def center(L: np.ndarray) -> np.ndarray:
+def center(L: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Center a Gram matrix in feature space: returns H L H.
 
     Equivalent to subtracting row means, column means, and adding back the
     grand mean. Rows and columns of the result sum to zero (within
-    roundoff), and centering is idempotent.
+    roundoff), and centering is idempotent. ``L`` may also be a stack of
+    shape (..., n, n), centred matrix by matrix. The result is written
+    into ``out`` when it is given, which may be ``L`` itself.
     """
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+    if L.ndim < 2 or L.shape[-2] != L.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    row_mean = L.mean(axis=1, keepdims=True)
-    col_mean = L.mean(axis=0, keepdims=True)
-    grand_mean = L.mean()
-    return L - row_mean - col_mean + grand_mean
+    row_mean = L.mean(axis=-1, keepdims=True)
+    col_mean = L.mean(axis=-2, keepdims=True)
+    grand_mean = L.mean(axis=(-2, -1), keepdims=True)
+    out = np.subtract(L, row_mean, out=out)
+    out -= col_mean
+    out += grand_mean
+    return out
 
 
-def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True) -> float:
+def _frobenius(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<X, Y>_F over the last two axes, with the product written into ``out`` if given."""
+    return np.multiply(X, Y, out=out).sum(axis=(-2, -1))
+
+
+def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True, out: np.ndarray | None = None):
     """Empirical HSIC from a Gram matrix and a pre-centered Gram matrix.
 
     Computes (n-1)^-2 * <K, Lc>_F, which equals (n-1)^-2 tr(K H L H) when
     ``Lc = center(L)``. For PSD kernels the value is nonnegative up to
     roundoff; with ``clamp`` (the default) tiny negatives are clamped to 0.
+
+    ``K`` may also be a stack of shape (..., n, n), each scored against
+    the one ``Lc``; the result is then an array of shape ``K.shape[:-2]``
+    rather than a float. A value does not depend on the other matrices in
+    the stack. ``out``, which may be ``K`` itself, takes the elementwise
+    product in place of a temporary.
     """
     K = np.asarray(K, dtype=np.float64)
     Lc = np.asarray(Lc, dtype=np.float64)
-    if K.shape != Lc.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
+    if K.shape[-2:] != Lc.shape or Lc.ndim != 2 or Lc.shape[0] != Lc.shape[1]:
         raise ValueError(f"Gram matrix shapes do not match: {K.shape} vs {Lc.shape}")
-    n = K.shape[0]
+    n = Lc.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
-    value = float(np.vdot(K, Lc)) / ((n - 1) * (n - 1))
-    if clamp and value < 0.0:
-        return 0.0
-    return value
+    value = _frobenius(K, Lc, out) / ((n - 1) * (n - 1))
+    if clamp:
+        value = np.where(value < 0.0, 0.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def hsic_pair(

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _gram_unchecked, _pairwise, center, gram, hsic
+from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _frobenius, _kernel_values, _pairwise, center, gram, hsic
+
+#: Total bytes of the column scorer's reused (b, n, n) buffers; b is at
+#: least 1 whatever n is. At n=200 this gives b=3 for HSIC (one buffer)
+#: and b=1 for DC (two). Measured on 2 vCPUs: inside simulate's two-thread
+#: pool, b=1 made HSIC 20-30% slower than b=2..8, likely because each of
+#: the numpy calls per block releases and retakes the GIL; single-threaded,
+#: b=1..3 cost the same, and DC slowed from b=4 up.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -161,11 +169,39 @@ def screen(
     Lc = center(gram(response.y, spec_y))
     Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
 
-    omega = np.empty(p)
-    for k in range(p):
-        K = _gram_unchecked(Z[:, k][:, None], spec_z)
-        omega[k] = hsic(K, Lc)
+    linear = spec_z.family == "linear"
+    fold = np.abs if spec_z.family == "laplacian" else np.square
+
+    def score(K):
+        if not linear:
+            _kernel_values(fold(K, out=K), spec_z)
+        return hsic(K, Lc, out=K)
+
+    omega = _score_columns(Z, score, np.multiply if linear else np.subtract)
     return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
+
+
+def _score_columns(Z: np.ndarray, score, pair=np.subtract, buffers: int = 1) -> np.ndarray:
+    """One value per column of ``Z`` from its n x n matrix pair(z_i, z_j).
+
+    Columns are taken in blocks of b, with b set so that ``buffers``
+    blocks together fit in ``BLOCK_BYTES``. Each block's matrices are
+    written into a reused (b, n, n) buffer, read straight from a strided
+    view of ``Z``, and ``score`` maps them (plus ``buffers - 1`` scratch
+    blocks of the same shape) to b values. As long as ``score`` reduces
+    each column over its own n x n slab only, a column's value does not
+    depend on b or on its position in the block.
+    """
+    n, p = Z.shape
+    b = max(1, min(p, BLOCK_BYTES // (buffers * 8 * n * n)))
+    bufs = np.empty((buffers, b, n, n))
+    values = np.empty(p)
+    for start in range(0, p, b):
+        zt = Z[:, start : start + b].T
+        blocks = bufs[:, : zt.shape[0]]
+        pair(zt[:, :, None], zt[:, None, :], out=blocks[0])
+        values[start : start + zt.shape[0]] = score(*blocks)
+    return values
 
 
 def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:
@@ -201,18 +237,18 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
         raise ValueError("covariate matrix has zero columns")
     response = standardize(data.times, data.status)
     B = center(np.sqrt(_pairwise(response.y, l1=False)))
-    n = data.n
-    dvar_y = float(np.vdot(B, B)) / (n * n)
+    n2 = data.n * data.n
+    dvar_y = float(_frobenius(B, B)) / n2
+    if dvar_y <= 0.0:
+        return np.zeros(data.p)
     Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
 
-    values = np.empty(data.p)
-    for k in range(data.p):
-        A = center(_pairwise(Z[:, k][:, None], l1=True))
-        dvar_x = float(np.vdot(A, A)) / (n * n)
-        if dvar_x <= 0.0 or dvar_y <= 0.0:
-            values[k] = 0.0
-            continue
-        dcov2 = float(np.vdot(A, B)) / (n * n)
-        r2 = dcov2 / math.sqrt(dvar_x * dvar_y)
-        values[k] = math.sqrt(min(max(r2, 0.0), 1.0))
-    return values
+    def score(A, scratch):
+        center(np.abs(A, out=A), out=A)
+        dcov2 = _frobenius(A, B, scratch) / n2
+        dvar_x = _frobenius(A, A, scratch) / n2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
+        return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
+
+    return _score_columns(Z, score, buffers=2)

@@ -10,6 +10,7 @@ import pytest
 from survscreen import cli
 from survscreen.dataio import read_dataset, read_records, write_dataset
 from survscreen.evaluate import run_experiment
+from survscreen.kernels import DEFAULT_MAX_SAMPLES
 from survscreen.screening import SurvivalDataset
 from survscreen.simulate import SimScenario, generate
 
@@ -139,6 +140,38 @@ class TestScreenCommand:
         assert json.loads(manifest_path.read_text())["params"]["d_n"] == 5
         assert sum(line.endswith(",1") for line in out.read_text().splitlines()[1:]) == 5
 
+    @pytest.mark.parametrize("method", ["hsic", "dc"])
+    def test_ranking_bytes_do_not_depend_on_blas_threads(self, tmp_path, method):
+        data_path = tmp_path / "d.csv"
+        write_cox_dataset(data_path, n=200, p=12)
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.csv"
+            proc = run_cli(
+                "screen", "--input", data_path, "--out", out, "--method", method,
+                env_extra={"OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_hsic_above_sample_cap_exits_2_with_gram_size(self, tmp_path):
+        n = DEFAULT_MAX_SAMPLES + 1
+        rng = np.random.default_rng(0)
+        data_path = tmp_path / "d.csv"
+        write_dataset(
+            data_path,
+            SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, 1))),
+        )
+        out = tmp_path / "r.csv"
+        proc = run_cli("screen", "--input", data_path, "--out", out)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("survscreen: error:")
+        assert f"{n * n * 8 / 2**20:.0f} MiB" in errors[0]
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         proc = run_cli("screen", "--input", tmp_path / "gone.csv", "--out", tmp_path / "o")
         assert proc.returncode == 2
@@ -176,6 +209,22 @@ class TestScreenCommand:
         assert (
             run_cli("screen", "--input", data_path, "--wat").returncode == 4
         )
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_4(self, tmp_path, gamma):
+        data_path = tmp_path / "d.csv"
+        write_cox_dataset(data_path)
+        # linear ignores gamma, but a non-finite one would reach the manifest
+        for kernel in ("gaussian", "linear"):
+            out = tmp_path / f"{kernel}.csv"
+            proc = run_cli(
+                "screen", "--input", data_path, "--out", out, "--kernel", kernel, "--gamma", gamma
+            )
+            assert proc.returncode == 4
+            assert "Traceback" not in proc.stderr
+            errors = [line for line in proc.stderr.splitlines() if "error" in line]
+            assert len(errors) == 1 and errors[0].startswith("survscreen: error: --gamma")
+            assert not out.exists()
 
 
 class TestSimulateCommand:

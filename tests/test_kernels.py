@@ -139,8 +139,23 @@ class TestCenter:
         Lc = center(L)
         assert np.allclose(center(Lc), Lc, atol=1e-12)
 
+    def test_stack_in_place_matches_each_matrix_bitwise(self):
+        rng = np.random.default_rng(12)
+        L = np.stack([gram(rng.standard_normal((100, 2)), GAUSSIAN_DEFAULT) for _ in range(3)])
+        expected = [center(M) for M in L]
+        assert center(L, out=L) is L
+        assert all(np.array_equal(M, e) for M, e in zip(L, expected))
+
 
 class TestHsic:
+    def test_stack_in_place_matches_each_matrix_bitwise(self):
+        rng = np.random.default_rng(13)
+        K = np.stack([gram(rng.standard_normal((100, 1)), GAUSSIAN_DEFAULT) for _ in range(3)])
+        Lc = center(gram(rng.standard_normal((100, 2)), GAUSSIAN_DEFAULT))
+        expected, product = [hsic(M, Lc) for M in K], K * Lc
+        assert hsic(K, Lc, out=K).tolist() == expected
+        assert np.array_equal(K, product)
+
     def test_constant_response_is_exact_zero(self):
         rng = np.random.default_rng(5)
         K = gram(rng.standard_normal((8, 1)), GAUSSIAN_DEFAULT)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from survscreen import screening
 from survscreen.exceptions import (
     DegenerateStatusError,
     DegenerateTimesError,
@@ -255,6 +256,40 @@ def test_active_signal_dominates_inactive_background():
         )
         omega = screen(data).omega
         assert omega[:2].min() > np.median(omega[2:])
+
+
+@pytest.mark.parametrize("method", ["gaussian", "laplacian", "linear", "dc"])
+def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
+    # n*n = 10000 exceeds numpy's 8192-element reduction buffer, and p=7
+    # leaves a short last block of 3, so every column is also scored at
+    # other block positions: alone, in reversed order, and in full blocks.
+    data = make_dataset(np.random.default_rng(21), n=100, p=7)
+    data.covariates[:, 5] = data.covariates[:, 1]
+
+    def utilities(Z):
+        sub = SurvivalDataset(times=data.times, status=data.status, covariates=Z)
+        if method == "dc":
+            return dc_utility(sub)
+        spec = KernelSpec(method, 2.0)
+        return screen(sub, spec, spec).omega
+
+    reference = utilities(data.covariates)
+    assert reference[1] == reference[5]
+    buffers = 2 if method == "dc" else 1
+    for columns in (1, 3, data.p):
+        monkeypatch.setattr(screening, "BLOCK_BYTES", columns * buffers * 8 * data.n * data.n)
+        assert np.array_equal(utilities(data.covariates), reference)
+        assert np.array_equal(utilities(data.covariates[:, ::-1])[::-1], reference)
+        for k in range(data.p):
+            assert np.array_equal(utilities(data.covariates[:, [k]]), reference[[k]])
+
+
+def test_omega_matches_hsic_pair_bitwise_above_reduction_buffer():
+    data = make_dataset(np.random.default_rng(22), n=100, p=3)
+    resp = standardize(data.times, data.status)
+    omega = screen(data).omega
+    for k in range(data.p):
+        assert omega[k] == hsic_pair(data.covariates[:, k], resp.y)
 
 
 class TestDcUtility:
