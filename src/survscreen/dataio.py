@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -53,7 +54,7 @@ def _finite_float(token: str, line: int, column: int, what: str) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(line, column, f"{what} {token!r} is not a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"line {line}, column {column}: {what} must be finite")
     return value
 
@@ -64,16 +65,19 @@ def _finite_float(token: str, line: int, column: int, what: str) -> float:
 
 def write_dataset(path, dataset: SurvivalDataset) -> None:
     """Write a dataset in the ``time,status,z1,...,zp`` format."""
+    rows = zip(dataset.times.tolist(), dataset.status.tolist(), dataset.covariates)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,status," + ",".join(f"z{j + 1}" for j in range(dataset.p)) + "\n")
-        for i in range(dataset.n):
-            row = [float_repr(dataset.times[i]), str(int(dataset.status[i]))]
-            row.extend(float_repr(v) for v in dataset.covariates[i])
-            fh.write(",".join(row) + "\n")
+        for t, d, z in rows:
+            fh.write(f"{t!r},{d}," + ",".join(map(repr, z.tolist())) + "\n")
 
 
 def read_dataset(path) -> SurvivalDataset:
-    """Parse and validate a dataset CSV; errors carry 1-based line/column."""
+    """Parse and validate a dataset CSV; errors carry 1-based line/column.
+
+    Each row is cast in one numpy call, which parses a field as ``float()``
+    does; only a row that fails the cast or a check goes through ``_check_row``.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -91,37 +95,43 @@ def read_dataset(path) -> SurvivalDataset:
             raise ParseError(1, j + 2, f"expected header field 'z{j}', got {name!r}")
     p = len(header) - 2
 
-    times, status, rows = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    table = np.empty((len(lines) - 1, p + 2))
+    for line_no, (line, row) in enumerate(zip(lines[1:], table), start=2):
         fields = line.split(",")
-        if fields == [""]:
-            raise ParseError(line_no, 1, "empty row")
-        if len(fields) != p + 2:
-            raise ParseError(
-                line_no, 1, f"expected {p + 2} fields, got {len(fields)}"
-            )
-        t = _finite_float(fields[0], line_no, 1, "time")
-        if t < 0:
-            raise ValidationError(
-                f"line {line_no}, column 1: time must be nonnegative, got {fields[0]}"
-            )
-        if fields[1] not in ("0", "1"):
-            raise ValidationError(
-                f"line {line_no}, column 2: status must be 0 or 1, got {fields[1]!r}"
-            )
-        z = [
-            _finite_float(fields[j + 2], line_no, j + 3, f"z{j + 1}")
-            for j in range(p)
-        ]
-        times.append(t)
-        status.append(int(fields[1]))
-        rows.append(z)
+        try:
+            if len(fields) == p + 2 and fields[1] in ("0", "1"):
+                row[:] = fields
+                if row[0] >= 0.0 and np.isfinite(row).all():
+                    continue
+        except ValueError:
+            pass
+        row[:] = _check_row(fields, line_no, p)
 
     return SurvivalDataset(
-        times=np.asarray(times, dtype=np.float64),
-        status=np.asarray(status, dtype=np.int8),
-        covariates=np.asarray(rows, dtype=np.float64),
+        times=table[:, 0],
+        status=table[:, 1].astype(np.int8),
+        # no rows: 1-d covariates keep the header-only file's error message
+        covariates=table[:, 2:] if len(table) else [],
     )
+
+
+def _check_row(fields: list[str], line_no: int, p: int) -> list[float]:
+    """Check a data row field by field: raise on its first bad field, else return its values."""
+    if fields == [""]:
+        raise ParseError(line_no, 1, "empty row")
+    if len(fields) != p + 2:
+        raise ParseError(line_no, 1, f"expected {p + 2} fields, got {len(fields)}")
+    t = _finite_float(fields[0], line_no, 1, "time")
+    if t < 0:
+        raise ValidationError(
+            f"line {line_no}, column 1: time must be nonnegative, got {fields[0]}"
+        )
+    if fields[1] not in ("0", "1"):
+        raise ValidationError(
+            f"line {line_no}, column 2: status must be 0 or 1, got {fields[1]!r}"
+        )
+    z = [_finite_float(fields[j + 2], line_no, j + 3, f"z{j + 1}") for j in range(p)]
+    return [t, float(fields[1]), *z]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ import numpy as np
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _frobenius, _kernel_values, _pairwise, center, gram, hsic
 
-#: Total bytes of the column scorer's reused (b, n, n) buffers; b is at
-#: least 1 whatever n is. At n=200 this gives b=3 for HSIC (one buffer)
-#: and b=1 for DC (two). Measured on 2 vCPUs: inside simulate's two-thread
-#: pool, b=1 made HSIC 20-30% slower than b=2..8, likely because each of
-#: the numpy calls per block releases and retakes the GIL; single-threaded,
-#: b=1..3 cost the same, and DC slowed from b=4 up.
+#: Bytes of the column scorer's reused (b, n, n) buffer; b is at least 1
+#: whatever n is, and 3 at n=200. Measured on 2 vCPUs: inside simulate's
+#: two-thread pool, b=1 made HSIC 20-30% slower than b=2..8, likely because
+#: each of the numpy calls per block releases and retakes the GIL;
+#: single-threaded, HSIC's b=1..3 cost the same. DC at n=200, p=3000,
+#: single-threaded, medians of 5 for b = 1, 2, 3, 4, 6, 8: 0.63, 0.51,
+#: 0.49, 0.50, 0.52, 0.52 s.
 BLOCK_BYTES = 1 << 20
 
 
@@ -172,7 +173,7 @@ def screen(
     linear = spec_z.family == "linear"
     fold = np.abs if spec_z.family == "laplacian" else np.square
 
-    def score(K):
+    def score(_, K):
         if not linear:
             _kernel_values(fold(K, out=K), spec_z)
         return hsic(K, Lc, out=K)
@@ -181,26 +182,28 @@ def screen(
     return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
 
 
-def _score_columns(Z: np.ndarray, score, pair=np.subtract, buffers: int = 1) -> np.ndarray:
+def _score_columns(Z: np.ndarray, score, pair=np.subtract) -> np.ndarray:
     """One value per column of ``Z`` from its n x n matrix pair(z_i, z_j).
 
-    Columns are taken in blocks of b, with b set so that ``buffers``
-    blocks together fit in ``BLOCK_BYTES``. Each block's matrices are
-    written into a reused (b, n, n) buffer, read straight from a strided
-    view of ``Z``, and ``score`` maps them (plus ``buffers - 1`` scratch
-    blocks of the same shape) to b values. As long as ``score`` reduces
-    each column over its own n x n slab only, a column's value does not
-    depend on b or on its position in the block.
+    Columns are taken in blocks of b, with b set so that a block's
+    matrices fit in ``BLOCK_BYTES``. Each block's columns are copied into
+    a reused contiguous (b, n) array and their matrices written into a
+    reused (b, n, n) buffer; ``score`` maps the two to b values. As long
+    as ``score`` reduces each column over its own data only, a column's
+    value does not depend on b or on its position in the block. ``Z`` is
+    only read.
     """
     n, p = Z.shape
-    b = max(1, min(p, BLOCK_BYTES // (buffers * 8 * n * n)))
-    bufs = np.empty((buffers, b, n, n))
+    b = max(1, min(p, BLOCK_BYTES // (8 * n * n)))
+    cols = np.empty((b, n))
+    mats = np.empty((b, n, n))
     values = np.empty(p)
     for start in range(0, p, b):
-        zt = Z[:, start : start + b].T
-        blocks = bufs[:, : zt.shape[0]]
-        pair(zt[:, :, None], zt[:, None, :], out=blocks[0])
-        values[start : start + zt.shape[0]] = score(*blocks)
+        z = cols[: min(b, p - start)]
+        np.copyto(z, Z[:, start : start + b].T)
+        A = mats[: z.shape[0]]
+        pair(z[:, :, None], z[:, None, :], out=A)
+        values[start : start + z.shape[0]] = score(z, A)
     return values
 
 
@@ -229,8 +232,13 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
 def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -> np.ndarray:
     """Distance correlation of each covariate with the standardized response.
 
-    Biased V-statistic estimator: double-center the pairwise Euclidean
-    distance matrices and combine their Frobenius means. Returns values in
+    Biased V-statistic estimator (Szekely, Rizzo & Bakirov 2007). With
+    A = |z_i - z_j| and B_c the double-centred response distances, the
+    covariate side is never centred: B_c's rows and columns sum to zero,
+    so dCov^2 = <center(A), B_c> / n^2 = <A, B_c> / n^2. dVar^2 of the
+    covariate comes from A's row means m and their mean g (Huo & Szekely
+    2016): ||center(A)||^2 / n^2 = mean(A^2) - 2 mean(m^2) + g^2, where
+    mean(A^2) = 2 var(z) (ddof=0) is O(n) per column. Returns values in
     [0, 1]; covariates with zero distance variance score 0.
     """
     if data.p == 0:
@@ -243,12 +251,13 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
         return np.zeros(data.p)
     Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
 
-    def score(A, scratch):
-        center(np.abs(A, out=A), out=A)
-        dcov2 = _frobenius(A, B, scratch) / n2
-        dvar_x = _frobenius(A, A, scratch) / n2
+    def score(z, A):
+        np.abs(A, out=A)
+        m = A.mean(axis=-1)  # before the product with B overwrites A
+        dcov2 = _frobenius(A, B, out=A) / n2
+        dvar_x = 2.0 * z.var(axis=-1) - 2.0 * np.square(m).mean(axis=-1) + np.square(m.mean(axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
             r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
         return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
 
-    return _score_columns(Z, score, buffers=2)
+    return _score_columns(Z, score)

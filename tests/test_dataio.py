@@ -147,6 +147,114 @@ class TestReadDatasetValidation:
             )
 
 
+_HEADER = "time,status,z1,z2,z3"
+_ROWS = ["1.5,1,0.1,0.2,0.3", "2.5,0,0.4,0.5,0.6", "3.5,1,0.7,0.8,0.9", "4.5,0,1.0,1.1,1.2"]
+
+
+def _with_line_4(text):
+    return "\n".join([_HEADER, *_ROWS[:2], text, _ROWS[3]]) + "\n"
+
+
+# Each defect sits on line 4; the messages are frozen as released.
+_DEFECTS = {
+    "time_not_a_number": (
+        _with_line_4("fast,1,0.7,0.8,0.9"),
+        ParseError, "line 4, column 1: time 'fast' is not a number",
+    ),
+    "covariate_not_a_number": (
+        _with_line_4("3.5,1,0.7,0..8,0.9"),
+        ParseError, "line 4, column 4: z2 '0..8' is not a number",
+    ),
+    "covariate_empty_field": (
+        _with_line_4("3.5,1,0.7,,0.9"),
+        ParseError, "line 4, column 4: z2 '' is not a number",
+    ),
+    "time_nan": (
+        _with_line_4("nan,1,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 1: time must be finite",
+    ),
+    "time_inf": (
+        _with_line_4("inf,1,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 1: time must be finite",
+    ),
+    "covariate_nan": (
+        _with_line_4("3.5,1,0.7,0.8,nan"),
+        ValidationError, "line 4, column 5: z3 must be finite",
+    ),
+    "covariate_neg_inf": (
+        _with_line_4("3.5,1,0.7,-inf,0.9"),
+        ValidationError, "line 4, column 4: z2 must be finite",
+    ),
+    "covariate_overflow": (
+        _with_line_4("3.5,1,1e999,0.8,0.9"),
+        ValidationError, "line 4, column 3: z1 must be finite",
+    ),
+    "time_negative": (
+        _with_line_4("-2.0,1,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 1: time must be nonnegative, got -2.0",
+    ),
+    "time_negative_spaced": (
+        _with_line_4(" -2e0 ,1,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 1: time must be nonnegative, got  -2e0 ",
+    ),
+    "status_1.0": (
+        _with_line_4("3.5,1.0,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 2: status must be 0 or 1, got '1.0'",
+    ),
+    "status_2": (
+        _with_line_4("3.5,2,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 2: status must be 0 or 1, got '2'",
+    ),
+    "status_spaced": (
+        _with_line_4("3.5, 1,0.7,0.8,0.9"),
+        ValidationError, "line 4, column 2: status must be 0 or 1, got ' 1'",
+    ),
+    "too_few_fields": (
+        _with_line_4("3.5,1,0.7,0.8"),
+        ParseError, "line 4, column 1: expected 5 fields, got 4",
+    ),
+    "too_many_fields": (
+        _with_line_4("3.5,1,0.7,0.8,0.9,1.0"),
+        ParseError, "line 4, column 1: expected 5 fields, got 6",
+    ),
+    "one_field": (
+        _with_line_4("3.5"),
+        ParseError, "line 4, column 1: expected 5 fields, got 1",
+    ),
+    "empty_row": (
+        _with_line_4(""),
+        ParseError, "line 4, column 1: empty row",
+    ),
+    "time_before_covariate": (
+        _with_line_4("x,1,0.7,y,0.9"),
+        ParseError, "line 4, column 1: time 'x' is not a number",
+    ),
+    "status_before_covariate": (
+        _with_line_4("3.5,2,0.7,nan,0.9"),
+        ValidationError, "line 4, column 2: status must be 0 or 1, got '2'",
+    ),
+    "earlier_line_first": (
+        "\n".join([_HEADER, _ROWS[0], "2.5,0,0.4,inf,0.6", "3.5,1,0.7,zz,0.9", _ROWS[3]]) + "\n",
+        ValidationError, "line 3, column 4: z2 must be finite",
+    ),
+    "header_only": (
+        _HEADER + "\n",
+        ValidationError, "status must be 1-d and covariates 2-d",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_read_dataset_error_type_and_message(tmp_path, defect):
+    text, kind, message = _DEFECTS[defect]
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_dataset(path)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
 class TestScenarioFile:
     def test_full_parse_with_comments(self, tmp_path):
         path = tmp_path / "s.cfg"

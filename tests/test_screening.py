@@ -284,6 +284,29 @@ def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
             assert np.array_equal(utilities(data.covariates[:, [k]]), reference[[k]])
 
 
+@pytest.mark.parametrize("standardize_covariates", [False, True])
+@pytest.mark.parametrize("layout", ["one_column", "fortran", "column_view"])
+@pytest.mark.parametrize("method", ["hsic", "dc"])
+def test_scoring_leaves_covariates_bit_identical(method, layout, standardize_covariates):
+    data = make_dataset(np.random.default_rng(24), n=30, p=6)
+    base = data.covariates
+    before = base.copy()
+    Z = {
+        "one_column": base[:, 2:3].copy(),
+        "fortran": np.asfortranarray(base),
+        "column_view": base[:, ::2],
+    }[layout]
+    z_before = Z.copy()
+    sub = SurvivalDataset(times=data.times, status=data.status, covariates=Z)
+    assert sub.covariates is Z
+    if method == "dc":
+        dc_utility(sub, standardize_covariates=standardize_covariates)
+    else:
+        screen(sub, standardize_covariates=standardize_covariates)
+    assert Z.tobytes() == z_before.tobytes()
+    assert base.tobytes() == before.tobytes()
+
+
 def test_omega_matches_hsic_pair_bitwise_above_reduction_buffer():
     data = make_dataset(np.random.default_rng(22), n=100, p=3)
     resp = standardize(data.times, data.status)
@@ -314,6 +337,35 @@ class TestDcUtility:
             dcov2 = (A * B).mean()
             ref = math.sqrt(dcov2 / math.sqrt((A * A).mean() * (B * B).mean()))
             assert mine[k] == pytest.approx(ref, abs=1e-12)
+
+    def test_offset_and_near_constant_columns_match_brute_force(self):
+        # dVar of a covariate comes from its variance and its distance row
+        # means, never from the centred distance matrix: a large offset and
+        # a column that is constant but for one subject or for tiny noise
+        # are where that rearrangement could lose digits.
+        rng = np.random.default_rng(25)
+        data = make_dataset(rng, n=25, p=5)
+        Z = data.covariates.copy()
+        Z[:, 1] = Z[:, 0] + 1e6
+        Z[:, 2] = 0.0
+        Z[7, 2] = 1e-3
+        Z[:, 3] = 5.0 + 1e-9 * rng.standard_normal(data.n)
+        Z[:, 4] = 0.1
+        data = SurvivalDataset(times=data.times, status=data.status, covariates=Z)
+        resp = standardize(data.times, data.status)
+        mine = dc_utility(data)
+
+        # the estimator of test_matches_brute_force_estimator
+        d = resp.y[:, None, :] - resp.y[None, :, :]
+        b = np.sqrt((d**2).sum(axis=-1))
+        B = b - b.mean(0) - b.mean(1)[:, None] + b.mean()
+        for k in range(4):
+            a = np.abs(Z[:, k, None] - Z[None, :, k])
+            A = a - a.mean(0) - a.mean(1)[:, None] + a.mean()
+            dcov2 = (A * B).mean()
+            ref = math.sqrt(dcov2 / math.sqrt((A * A).mean() * (B * B).mean()))
+            assert mine[k] == pytest.approx(ref, abs=1e-12)
+        assert mine[4] == 0.0
 
     def test_time_copy_scores_high_and_first(self):
         # A covariate equal to the standardized time dominates noise, but
