@@ -68,6 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs() -> int:
+    """$SURVSCREEN_JOBS when set, else the logical core count; ValueError if it is bad."""
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw is None:
         return os.cpu_count() or 1
@@ -75,7 +76,9 @@ def _default_jobs() -> int:
         jobs = int(raw)
     except ValueError:
         jobs = 0
-    return jobs  # validated against >= 1 where it is used
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def build_parser() -> _Parser:
@@ -201,7 +204,10 @@ def cmd_screen(parser: _Parser, args) -> int:
 
 
 def cmd_simulate(parser: _Parser, args) -> int:
-    jobs = _default_jobs() if args.jobs is None else args.jobs
+    try:
+        jobs = _default_jobs() if args.jobs is None else args.jobs
+    except ValueError as exc:
+        parser.error(str(exc))
     if jobs < 1:
         parser.error(f"--jobs must be a positive integer, got {jobs}")
     if args.replications is not None and args.replications < 1:

@@ -110,8 +110,7 @@ def read_dataset(path) -> SurvivalDataset:
     return SurvivalDataset(
         times=table[:, 0],
         status=table[:, 1].astype(np.int8),
-        # no rows: 1-d covariates keep the header-only file's error message
-        covariates=table[:, 2:] if len(table) else [],
+        covariates=table[:, 2:],
     )
 
 

@@ -11,9 +11,11 @@ Frobenius inner product <K, HLH>, so the expensive centering of the
 response Gram can be done once and reused against many covariate Grams
 at O(n^2) each instead of O(n^3).
 
-The Frobenius product is numpy's fixed-order pairwise sum of the
-elementwise product, never a BLAS dot product, so its bits do not depend
-on the number of BLAS threads.
+One builder, ``_pairwise``, makes every n x n matrix (each family's Gram
+and the distance-correlation baseline's distances) from elementwise terms,
+one coordinate at a time. No BLAS routine is called, not even for the
+linear kernel, and the Frobenius product is numpy's fixed-order pairwise
+sum, so no value here depends on the BLAS library or its thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .exceptions import ValidationError
 
 KERNEL_FAMILIES = ("gaussian", "linear", "laplacian")
 
-#: Hard ceiling on sample count so a dense Gram cannot exhaust memory.
+#: Hard ceiling on sample count so a dense n x n matrix cannot exhaust memory.
 DEFAULT_MAX_SAMPLES = 10_000
 
 
@@ -69,27 +71,38 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _pairwise(pts: np.ndarray, l1: bool) -> np.ndarray:
-    """n x n sums over coordinates of |x_i - x_j| (``l1``) or (x_i - x_j)^2.
+def _pairwise(pts, pair, fold=None, *, out=None, max_samples: int = DEFAULT_MAX_SAMPLES) -> np.ndarray:
+    """Sums over coordinates k of fold(pair(x_ik, x_jk)) for every pair i, j.
 
-    Accumulated one coordinate at a time, so (i, j) and (j, i) see identical
-    float ops and the result is exactly symmetric.
+    ``pts`` is an (n, d) point set or a (..., n, d) stack; the (..., n, n)
+    result goes into ``out`` if given. One coordinate at a time, so (i, j)
+    and (j, i) see the same float ops and the result is exactly symmetric.
+    Raises ValidationError, before allocating, on n above ``max_samples``.
     """
-    fold = np.abs if l1 else np.square
+    n = pts.shape[-2]
+    if n > max_samples:
+        raise ValidationError(
+            f"n={n} exceeds the sample cap of {max_samples}; "
+            f"one {n}x{n} matrix would need {n * n * 8 / 2**20:.0f} MiB"
+        )
     acc = None
-    for col in pts.T:
-        diff = np.subtract.outer(col, col)
-        fold(diff, out=diff)
-        acc = diff if acc is None else np.add(acc, diff, out=acc)
+    for k in range(pts.shape[-1]):
+        x = pts[..., k]
+        term = pair(x[..., :, None], x[..., None, :], out=out if acc is None else None)
+        if fold is not None:
+            fold(term, out=term)
+        acc = term if acc is None else np.add(acc, term, out=acc)
     return acc
 
 
-def _kernel_values(acc: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Turn ``_pairwise`` sums into gaussian or laplacian kernel values, in place."""
-    if spec.family == "laplacian":
-        acc *= -1.0 / spec.gamma
-    else:
-        acc *= -1.0 / (2.0 * spec.gamma * spec.gamma)
+def _kernel_matrix(pts, spec: KernelSpec, *, out=None, max_samples: int = DEFAULT_MAX_SAMPLES):
+    """K[..., i, j] = k(x_i, x_j) for the points ``_pairwise`` takes, into ``out`` if given."""
+    if spec.family == "linear":
+        return _pairwise(pts, np.multiply, out=out, max_samples=max_samples)
+    laplacian = spec.family == "laplacian"
+    fold = np.abs if laplacian else np.square
+    acc = _pairwise(pts, np.subtract, fold, out=out, max_samples=max_samples)
+    acc *= -1.0 / spec.gamma if laplacian else -1.0 / (2.0 * spec.gamma * spec.gamma)
     return np.exp(acc, out=acc)
 
 
@@ -104,18 +117,9 @@ def gram(points, spec: KernelSpec = GAUSSIAN_DEFAULT, *, max_samples: int = DEFA
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to form a Gram matrix, got {n}")
-    if n > max_samples:
-        raise ValidationError(
-            f"n={n} exceeds the Gram matrix sample cap of {max_samples}; "
-            f"the {n}x{n} Gram would need {n * n * 8 / 2**20:.0f} MiB"
-        )
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or infinite coordinates")
-    if spec.family == "linear":
-        k = pts @ pts.T
-        # dgemm output is not guaranteed entrywise symmetric
-        return (k + k.T) / 2.0
-    return _kernel_values(_pairwise(pts, spec.family == "laplacian"), spec)
+    return _kernel_matrix(pts, spec, max_samples=max_samples)
 
 
 def center(L: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:

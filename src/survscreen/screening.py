@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _frobenius, _kernel_values, _pairwise, center, gram, hsic
+from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _frobenius, _kernel_matrix, _pairwise, center, gram, hsic
 
 #: Bytes of the column scorer's reused (b, n, n) buffer; b is at least 1
 #: whatever n is, and 3 at n=200. Measured on 2 vCPUs: inside simulate's
@@ -163,35 +163,29 @@ def screen(
     response Gram; results land at fixed positions, so any parallel split
     over columns reproduces the serial output bit for bit.
     """
-    p = data.p
-    if p == 0:
-        raise ValueError("covariate matrix has zero columns")
-    response = standardize(data.times, data.status)
-    Lc = center(gram(response.y, spec_y))
-    Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
-
-    linear = spec_z.family == "linear"
-    fold = np.abs if spec_z.family == "laplacian" else np.square
-
-    def score(_, K):
-        if not linear:
-            _kernel_values(fold(K, out=K), spec_z)
-        return hsic(K, Lc, out=K)
-
-    omega = _score_columns(Z, score, np.multiply if linear else np.subtract)
+    Z, y = _covariates_and_response(data, standardize_covariates)
+    Lc = center(gram(y, spec_y))
+    omega = _score_columns(Z, lambda z, K: hsic(_kernel_matrix(z[..., None], spec_z, out=K), Lc, out=K))
     return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
 
 
-def _score_columns(Z: np.ndarray, score, pair=np.subtract) -> np.ndarray:
-    """One value per column of ``Z`` from its n x n matrix pair(z_i, z_j).
+def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool):
+    """The covariate matrix to score and the standardized (time, status) response."""
+    if data.p == 0:
+        raise ValueError("covariate matrix has zero columns")
+    y = standardize(data.times, data.status).y
+    return (standardize_columns(data.covariates) if standardize_covariates else data.covariates), y
 
-    Columns are taken in blocks of b, with b set so that a block's
-    matrices fit in ``BLOCK_BYTES``. Each block's columns are copied into
-    a reused contiguous (b, n) array and their matrices written into a
-    reused (b, n, n) buffer; ``score`` maps the two to b values. As long
-    as ``score`` reduces each column over its own data only, a column's
-    value does not depend on b or on its position in the block. ``Z`` is
-    only read.
+
+def _score_columns(Z: np.ndarray, score) -> np.ndarray:
+    """One value per column of ``Z``, from ``score`` over blocks of b columns.
+
+    b is set so that a block's n x n matrices fit in ``BLOCK_BYTES``.
+    ``score`` gets a block's columns, copied into a reused contiguous (b, n)
+    array, and a reused (b, n, n) buffer for their matrices, and returns b
+    values. As long as it reduces each column over its own data only, a
+    column's value does not depend on b or on its position in the block.
+    ``Z`` is only read.
     """
     n, p = Z.shape
     b = max(1, min(p, BLOCK_BYTES // (8 * n * n)))
@@ -201,9 +195,7 @@ def _score_columns(Z: np.ndarray, score, pair=np.subtract) -> np.ndarray:
     for start in range(0, p, b):
         z = cols[: min(b, p - start)]
         np.copyto(z, Z[:, start : start + b].T)
-        A = mats[: z.shape[0]]
-        pair(z[:, :, None], z[:, None, :], out=A)
-        values[start : start + z.shape[0]] = score(z, A)
+        values[start : start + len(z)] = score(z, mats[: len(z)])
     return values
 
 
@@ -241,18 +233,15 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     mean(A^2) = 2 var(z) (ddof=0) is O(n) per column. Returns values in
     [0, 1]; covariates with zero distance variance score 0.
     """
-    if data.p == 0:
-        raise ValueError("covariate matrix has zero columns")
-    response = standardize(data.times, data.status)
-    B = center(np.sqrt(_pairwise(response.y, l1=False)))
+    Z, y = _covariates_and_response(data, standardize_covariates)
+    B = center(np.sqrt(_pairwise(y, np.subtract, np.square)))
     n2 = data.n * data.n
     dvar_y = float(_frobenius(B, B)) / n2
     if dvar_y <= 0.0:
         return np.zeros(data.p)
-    Z = standardize_columns(data.covariates) if standardize_covariates else data.covariates
 
     def score(z, A):
-        np.abs(A, out=A)
+        A = _pairwise(z[..., None], np.subtract, np.abs, out=A)
         m = A.mean(axis=-1)  # before the product with B overwrites A
         dcov2 = _frobenius(A, B, out=A) / n2
         dvar_x = 2.0 * z.var(axis=-1) - 2.0 * np.square(m).mean(axis=-1) + np.square(m.mean(axis=-1))

@@ -32,6 +32,16 @@ def run_cli(*args, env_extra=None, cwd=None):
     )
 
 
+def write_capped_dataset(path):
+    """A 1-covariate dataset one subject above the sample cap."""
+    n = DEFAULT_MAX_SAMPLES + 1
+    rng = np.random.default_rng(0)
+    write_dataset(
+        path, SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, 1)))
+    )
+    return path
+
+
 def write_cox_dataset(path, n=60, p=15, seed=0):
     gen = generate(SimScenario("cox", n, p, seed=seed), 0)
     write_dataset(path, gen.dataset)
@@ -157,12 +167,7 @@ class TestScreenCommand:
 
     def test_hsic_above_sample_cap_exits_2_with_gram_size(self, tmp_path):
         n = DEFAULT_MAX_SAMPLES + 1
-        rng = np.random.default_rng(0)
-        data_path = tmp_path / "d.csv"
-        write_dataset(
-            data_path,
-            SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, 1))),
-        )
+        data_path = write_capped_dataset(tmp_path / "d.csv")
         out = tmp_path / "r.csv"
         proc = run_cli("screen", "--input", data_path, "--out", out)
         assert proc.returncode == 2
@@ -171,6 +176,18 @@ class TestScreenCommand:
         assert len(errors) == 1 and errors[0].startswith("survscreen: error:")
         assert f"{n * n * 8 / 2**20:.0f} MiB" in errors[0]
         assert not out.exists()
+
+    def test_dc_above_sample_cap_exits_2_with_the_hsic_message(self, tmp_path):
+        data_path = write_capped_dataset(tmp_path / "d.csv")
+        stderr = {}
+        for method in ("dc", "hsic"):
+            out = tmp_path / f"{method}.csv"
+            proc = run_cli("screen", "--input", data_path, "--out", out, "--method", method)
+            assert proc.returncode == 2
+            assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+            stderr[method] = proc.stderr
+        assert stderr["dc"] == stderr["hsic"]
+        assert len(stderr["dc"].splitlines()) == 1 and "sample cap" in stderr["dc"]
 
     def test_missing_input_exits_2(self, tmp_path):
         proc = run_cli("screen", "--input", tmp_path / "gone.csv", "--out", tmp_path / "o")
@@ -325,6 +342,8 @@ class TestSimulateCommand:
             env_extra={"SURVSCREEN_JOBS": "zero"},
         )
         assert proc.returncode == 4
+        assert "SURVSCREEN_JOBS must be a positive integer, got 'zero'" in proc.stderr
+        assert "--jobs" not in proc.stderr.splitlines()[-1]
 
 
 class TestEvaluateCommand:

@@ -239,7 +239,7 @@ _DEFECTS = {
     ),
     "header_only": (
         _HEADER + "\n",
-        ValidationError, "status must be 1-d and covariates 2-d",
+        ValidationError, "need at least 3 subjects, got 0",
     ),
 }
 

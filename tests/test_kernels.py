@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,14 @@ class TestGram:
         pts = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
         K = gram(pts, KernelSpec("linear"))
         assert np.allclose(K, pts @ pts.T)
+
+    def test_linear_is_sum_of_coordinate_products_bitwise(self):
+        pts = np.random.default_rng(3).standard_normal((200, 2))
+        K = gram(pts, KernelSpec("linear"))
+        expected = np.multiply.outer(pts[:, 0], pts[:, 0])
+        expected += np.multiply.outer(pts[:, 1], pts[:, 1])
+        assert K.tobytes() == expected.tobytes()
+        assert K.tobytes() == K.T.copy().tobytes()
 
     def test_symmetric_bitwise(self):
         rng = np.random.default_rng(0)
@@ -268,3 +278,17 @@ def test_independent_pairs_fall_below_permutation_null():
         if observed < np.quantile(null, 0.99):
             hits += 1
     assert hits >= int(0.95 * redraws)
+
+
+def test_scoring_modules_call_no_blas():
+    # Every utility is reduced by numpy's fixed-order sum; a matrix product
+    # would make its bits depend on the BLAS library and its thread count.
+    blas = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+    src = Path(__file__).resolve().parents[1] / "src" / "survscreen"
+    for name in ("kernels.py", "screening.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), (name, node.lineno)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert called not in blas, (name, node.lineno, called)

@@ -315,6 +315,16 @@ def test_omega_matches_hsic_pair_bitwise_above_reduction_buffer():
         assert omega[k] == hsic_pair(data.covariates[:, k], resp.y)
 
 
+@pytest.mark.parametrize("family", ["laplacian", "linear"])
+def test_omega_matches_hsic_pair_bitwise_for_other_families(family):
+    data = make_dataset(np.random.default_rng(23), n=100, p=3)
+    resp = standardize(data.times, data.status)
+    spec = KernelSpec(family, 1.5)
+    omega = screen(data, spec, spec).omega
+    for k in range(data.p):
+        assert omega[k] == hsic_pair(data.covariates[:, k], resp.y, spec, spec)
+
+
 class TestDcUtility:
     def test_values_in_unit_interval(self):
         data = make_dataset(np.random.default_rng(15))
