@@ -9,8 +9,11 @@ Three subcommands:
   evaluate   aggregate a records CSV into the summary metrics at a
              chosen cutoff, without re-simulating.
 
-Exit codes: 0 success, 2 parse or validation failure, 3 degenerate data,
-4 bad flags, 5 censoring calibration failure.
+Exit codes: 0 success, 2 parse or validation failure or a file that
+cannot be read or written, 3 degenerate data, 4 bad flags, 5 censoring
+calibration failure. ``screen`` and ``evaluate`` check that their output
+paths can be written before they read anything, so a failed run leaves
+no partial output.
 
 The default for --jobs is the SURVSCREEN_JOBS environment variable when
 set, otherwise the number of logical cores. Replication streams are
@@ -20,6 +23,7 @@ fixed by (seed, replication index), so --jobs never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -79,6 +83,14 @@ def _default_jobs() -> int:
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
     return jobs
+
+
+def _check_output(path) -> None:
+    """Raise the OSError that writing ``path`` would raise, so a run fails before it writes."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def build_parser() -> _Parser:
@@ -169,6 +181,9 @@ def cmd_screen(parser: _Parser, args) -> int:
     if args.kernel != "linear" and args.gamma <= 0:
         parser.error(f"--gamma must be positive, got {args.gamma}")
 
+    manifest_path = args.manifest or args.out + ".manifest.json"
+    _check_output(args.out)
+    _check_output(manifest_path)
     data = read_dataset(args.input)
     if args.dn is not None and args.dn > data.p:
         parser.error(f"--dn must be at most p = {data.p}, got {args.dn}")
@@ -199,7 +214,7 @@ def cmd_screen(parser: _Parser, args) -> int:
             "standardize_covariates": bool(args.standardize_covariates),
         },
     )
-    write_manifest(args.manifest or args.out + ".manifest.json", manifest)
+    write_manifest(manifest_path, manifest)
     return 0
 
 
@@ -266,6 +281,8 @@ def cmd_evaluate(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
 
+    _check_output(args.out)
+    _check_output(args.out + ".manifest.json")
     records, active_set = read_records(args.records)
     if not records:
         raise ValidationError("records file has no data rows")
@@ -298,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateDataError, OverflowError) as exc:

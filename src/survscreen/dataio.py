@@ -49,6 +49,15 @@ def sha256_file(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; ValidationError, naming the file, if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _finite_float(token: str, line: int, column: int, what: str) -> float:
     try:
         value = float(token)
@@ -78,8 +87,7 @@ def read_dataset(path) -> SurvivalDataset:
     Each row is cast in one numpy call, which parses a field as ``float()``
     does; only a row that fails the cast or a check goes through ``_check_row``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(1, 1, "empty file")
 
@@ -160,8 +168,7 @@ _REQUIRED_KEYS = ("model", "n", "p")
 
 def read_scenario(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
 
     raw: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
@@ -264,8 +271,7 @@ def write_records(path, records: list[ReplicationRecord], active_set) -> None:
 
 def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
     """Parse a records CSV; returns the records and the 0-based active set."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(1, 1, "empty file")
 

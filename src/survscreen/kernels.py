@@ -13,9 +13,12 @@ at O(n^2) each instead of O(n^3).
 
 One builder, ``_pairwise``, makes every n x n matrix (each family's Gram
 and the distance-correlation baseline's distances) from elementwise terms,
-one coordinate at a time. No BLAS routine is called, not even for the
-linear kernel, and the Frobenius product is numpy's fixed-order pairwise
-sum, so no value here depends on the BLAS library or its thread count.
+one coordinate at a time. The screening scorer, ``_sweep``, never builds a
+covariate's matrix, and sums the Frobenius product in the same fixed order
+as ``hsic``: the upper triangle of K weighted by both triangles of the
+response matrix, diagonal k = 0, 1, ..., n-1 in turn, each in row order.
+No BLAS routine is called, so no value depends on the BLAS library or its
+thread count.
 """
 
 from __future__ import annotations
@@ -71,39 +74,44 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _pairwise(pts, pair, fold=None, *, out=None, max_samples: int = DEFAULT_MAX_SAMPLES) -> np.ndarray:
-    """Sums over coordinates k of fold(pair(x_ik, x_jk)) for every pair i, j.
+def _terms(spec: KernelSpec):
+    """(pair, fold, scale) of a family: k(x, y) = exp(scale * sum_k fold(pair(x_k, y_k)))."""
+    if spec.family == "linear":
+        return np.multiply, None, None
+    if spec.family == "laplacian":
+        return np.subtract, np.abs, -1.0 / spec.gamma
+    return np.subtract, np.square, -1.0 / (2.0 * spec.gamma * spec.gamma)
 
-    ``pts`` is an (n, d) point set or a (..., n, d) stack; the (..., n, n)
-    result goes into ``out`` if given. One coordinate at a time, so (i, j)
-    and (j, i) see the same float ops and the result is exactly symmetric.
-    Raises ValidationError, before allocating, on n above ``max_samples``.
+
+def _apply(term, fold, scale):
+    """exp(scale * fold(term)) in place, skipping whichever of ``fold`` and ``scale`` is None."""
+    if fold is not None:
+        fold(term, out=term)
+    if scale is not None:
+        term *= scale
+        np.exp(term, out=term)
+    return term
+
+
+def _pairwise(pts, pair, fold=None, scale=None, *, max_samples: int = DEFAULT_MAX_SAMPLES) -> np.ndarray:
+    """exp(scale * sum_k fold(pair(x_ik, x_jk))) for every pair i, j of an (n, d) point set.
+
+    One coordinate at a time, so (i, j) and (j, i) see the same float ops
+    and the result is exactly symmetric. Raises ValidationError, before
+    allocating, on n above ``max_samples``.
     """
-    n = pts.shape[-2]
+    n = pts.shape[0]
     if n > max_samples:
         raise ValidationError(
             f"n={n} exceeds the sample cap of {max_samples}; "
             f"one {n}x{n} matrix would need {n * n * 8 / 2**20:.0f} MiB"
         )
     acc = None
-    for k in range(pts.shape[-1]):
-        x = pts[..., k]
-        term = pair(x[..., :, None], x[..., None, :], out=out if acc is None else None)
-        if fold is not None:
-            fold(term, out=term)
+    for k in range(pts.shape[1]):
+        x = pts[:, k]
+        term = _apply(pair(x[:, None], x[None, :]), fold, None)
         acc = term if acc is None else np.add(acc, term, out=acc)
-    return acc
-
-
-def _kernel_matrix(pts, spec: KernelSpec, *, out=None, max_samples: int = DEFAULT_MAX_SAMPLES):
-    """K[..., i, j] = k(x_i, x_j) for the points ``_pairwise`` takes, into ``out`` if given."""
-    if spec.family == "linear":
-        return _pairwise(pts, np.multiply, out=out, max_samples=max_samples)
-    laplacian = spec.family == "laplacian"
-    fold = np.abs if laplacian else np.square
-    acc = _pairwise(pts, np.subtract, fold, out=out, max_samples=max_samples)
-    acc *= -1.0 / spec.gamma if laplacian else -1.0 / (2.0 * spec.gamma * spec.gamma)
-    return np.exp(acc, out=acc)
+    return _apply(acc, None, scale)
 
 
 def gram(points, spec: KernelSpec = GAUSSIAN_DEFAULT, *, max_samples: int = DEFAULT_MAX_SAMPLES) -> np.ndarray:
@@ -119,59 +127,78 @@ def gram(points, spec: KernelSpec = GAUSSIAN_DEFAULT, *, max_samples: int = DEFA
         raise ValueError(f"need at least 2 samples to form a Gram matrix, got {n}")
     if not np.isfinite(pts).all():
         raise ValueError("points contain NaN or infinite coordinates")
-    return _kernel_matrix(pts, spec, max_samples=max_samples)
+    return _pairwise(pts, *_terms(spec), max_samples=max_samples)
 
 
-def center(L: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def center(L: np.ndarray) -> np.ndarray:
     """Center a Gram matrix in feature space: returns H L H.
 
     Equivalent to subtracting row means, column means, and adding back the
     grand mean. Rows and columns of the result sum to zero (within
-    roundoff), and centering is idempotent. ``L`` may also be a stack of
-    shape (..., n, n), centred matrix by matrix. The result is written
-    into ``out`` when it is given, which may be ``L`` itself.
+    roundoff), and centering is idempotent.
     """
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim < 2 or L.shape[-2] != L.shape[-1]:
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    row_mean = L.mean(axis=-1, keepdims=True)
-    col_mean = L.mean(axis=-2, keepdims=True)
-    grand_mean = L.mean(axis=(-2, -1), keepdims=True)
-    out = np.subtract(L, row_mean, out=out)
-    out -= col_mean
-    out += grand_mean
+    out = L - L.mean(axis=1, keepdims=True)
+    out -= L.mean(axis=0, keepdims=True)
+    out += L.mean()
     return out
 
 
-def _frobenius(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """<X, Y>_F over the last two axes, with the product written into ``out`` if given."""
-    return np.multiply(X, Y, out=out).sum(axis=(-2, -1))
+def _upper_weights(R: np.ndarray) -> np.ndarray:
+    """R + R^T off the diagonal and R on it: for a symmetric K, <K, R>_F is
+    the sum of K * W over the upper triangle. A centred R is symmetric only
+    up to roundoff, and one triangle of it alone would lose digits."""
+    W = R + R.T
+    np.fill_diagonal(W, np.diagonal(R))
+    return W
 
 
-def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True, out: np.ndarray | None = None):
+def _sweep(z: np.ndarray, W: np.ndarray, pair, fold=None, scale=None) -> np.ndarray:
+    """Per column z_j of a C-contiguous (n, w >= 2) chunk, the sum of T_j * W
+    over the upper triangle, where T_j is the one-coordinate matrix that
+    ``_pairwise`` would build from z_j, summed in ``hsic``'s order.
+
+    T_j is never formed: for each offset k, diagonal k of every T_j is one
+    (n-k, w) slab of a reused buffer, weighted by diagonal k of W and summed
+    over its rows. numpy adds the rows of an (m, w >= 2) array in order, so
+    a column's bits depend neither on w nor on its place in the chunk; an
+    (m, 1) array would be summed pairwise, so callers pad a lone column.
+    """
+    n, w = z.shape
+    buf = np.empty((n, w))
+    total = np.zeros(w)
+    for k in range(n):
+        term = _apply(pair(z[k:], z[: n - k], out=buf[: n - k]), fold, scale)
+        term *= np.diagonal(W, k)[:, None]
+        total += term.sum(axis=0)
+    return total
+
+
+def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True) -> float:
     """Empirical HSIC from a Gram matrix and a pre-centered Gram matrix.
 
     Computes (n-1)^-2 * <K, Lc>_F, which equals (n-1)^-2 tr(K H L H) when
     ``Lc = center(L)``. For PSD kernels the value is nonnegative up to
     roundoff; with ``clamp`` (the default) tiny negatives are clamped to 0.
-
-    ``K`` may also be a stack of shape (..., n, n), each scored against
-    the one ``Lc``; the result is then an array of shape ``K.shape[:-2]``
-    rather than a float. A value does not depend on the other matrices in
-    the stack. ``out``, which may be ``K`` itself, takes the elementwise
-    product in place of a temporary.
+    ``K`` must be symmetric, as Gram matrices are: only its upper triangle
+    is read. The sum runs in the order of ``screening.screen``'s scorer,
+    so both give a covariate the same bits.
     """
     K = np.asarray(K, dtype=np.float64)
     Lc = np.asarray(Lc, dtype=np.float64)
-    if K.shape[-2:] != Lc.shape or Lc.ndim != 2 or Lc.shape[0] != Lc.shape[1]:
+    if K.shape != Lc.shape or Lc.ndim != 2 or Lc.shape[0] != Lc.shape[1]:
         raise ValueError(f"Gram matrix shapes do not match: {K.shape} vs {Lc.shape}")
     n = Lc.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
-    value = _frobenius(K, Lc, out) / ((n - 1) * (n - 1))
-    if clamp:
-        value = np.where(value < 0.0, 0.0, value)
-    return float(value) if value.ndim == 0 else value
+    P = K * _upper_weights(Lc)
+    total = 0.0
+    for k in range(n):  # as _sweep: diagonal by diagonal, each in row order
+        total += np.cumsum(np.diagonal(P, k))[-1]
+    value = float(total) / ((n - 1) * (n - 1))
+    return 0.0 if clamp and value < 0.0 else value
 
 
 def hsic_pair(

@@ -15,16 +15,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _frobenius, _kernel_matrix, _pairwise, center, gram, hsic
+from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
 
-#: Bytes of the column scorer's reused (b, n, n) buffer; b is at least 1
-#: whatever n is, and 3 at n=200. Measured on 2 vCPUs: inside simulate's
-#: two-thread pool, b=1 made HSIC 20-30% slower than b=2..8, likely because
-#: each of the numpy calls per block releases and retakes the GIL;
-#: single-threaded, HSIC's b=1..3 cost the same. DC at n=200, p=3000,
-#: single-threaded, medians of 5 for b = 1, 2, 3, 4, 6, 8: 0.63, 0.51,
-#: 0.49, 0.50, 0.52, 0.52 s.
-BLOCK_BYTES = 1 << 20
+#: Columns scored per chunk. No value depends on it; 256 keeps an (n, 256)
+#: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
+#: offset makes over it. A constant, not tuned to the machine or threads.
+CHUNK_COLUMNS = 256
 
 
 @dataclass
@@ -159,13 +155,21 @@ def screen(
     ``d_n`` defaults to ``default_cutoff(n)``. Covariates are used on their
     raw scale unless ``standardize_covariates`` is set.
 
-    The utility computations are independent given the read-only centered
-    response Gram; results land at fixed positions, so any parallel split
-    over columns reproduces the serial output bit for bit.
+    No covariate Gram is formed: the columns are swept in chunks of
+    ``CHUNK_COLUMNS``, so memory is the one n x n response matrix plus a
+    few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
+    column, whatever the other columns are; results land at fixed
+    positions, so any split over columns reproduces the serial output.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
-    Lc = center(gram(y, spec_y))
-    omega = _score_columns(Z, lambda z, K: hsic(_kernel_matrix(z[..., None], spec_z, out=K), Lc, out=K))
+    W = _upper_weights(center(gram(y, spec_y)))
+    terms = _terms(spec_z)
+
+    def score(z):
+        value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
+        return np.where(value < 0.0, 0.0, value)
+
+    omega = _score_chunks(Z, score)
     return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
 
 
@@ -177,25 +181,21 @@ def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool
     return (standardize_columns(data.covariates) if standardize_covariates else data.covariates), y
 
 
-def _score_columns(Z: np.ndarray, score) -> np.ndarray:
-    """One value per column of ``Z``, from ``score`` over blocks of b columns.
+def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
+    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``.
 
-    b is set so that a block's n x n matrices fit in ``BLOCK_BYTES``.
-    ``score`` gets a block's columns, copied into a reused contiguous (b, n)
-    array, and a reused (b, n, n) buffer for their matrices, and returns b
-    values. As long as it reduces each column over its own data only, a
-    column's value does not depend on b or on its position in the block.
-    ``Z`` is only read.
+    ``score`` gets each chunk copied into a C-contiguous (n, w) array and
+    returns w values. A lone column is padded with a zero column, because
+    numpy sums an (m, 1) array over axis 0 pairwise rather than in row
+    order. ``Z`` is only read.
     """
     n, p = Z.shape
-    b = max(1, min(p, BLOCK_BYTES // (8 * n * n)))
-    cols = np.empty((b, n))
-    mats = np.empty((b, n, n))
     values = np.empty(p)
-    for start in range(0, p, b):
-        z = cols[: min(b, p - start)]
-        np.copyto(z, Z[:, start : start + b].T)
-        values[start : start + len(z)] = score(z, mats[: len(z)])
+    for start in range(0, p, CHUNK_COLUMNS):
+        width = min(CHUNK_COLUMNS, p - start)
+        z = np.zeros((n, max(2, width)))
+        z[:, :width] = Z[:, start : start + width]
+        values[start : start + width] = score(z)[:width]
     return values
 
 
@@ -227,26 +227,33 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     Biased V-statistic estimator (Szekely, Rizzo & Bakirov 2007). With
     A = |z_i - z_j| and B_c the double-centred response distances, the
     covariate side is never centred: B_c's rows and columns sum to zero,
-    so dCov^2 = <center(A), B_c> / n^2 = <A, B_c> / n^2. dVar^2 of the
-    covariate comes from A's row means m and their mean g (Huo & Szekely
-    2016): ||center(A)||^2 / n^2 = mean(A^2) - 2 mean(m^2) + g^2, where
-    mean(A^2) = 2 var(z) (ddof=0) is O(n) per column. Returns values in
-    [0, 1]; covariates with zero distance variance score 0.
+    so dCov^2 = <center(A), B_c> / n^2 = <A, B_c> / n^2, swept like HSIC.
+    dVar^2 of the covariate comes from A's row means m and their mean g
+    (Huo & Szekely 2016): ||center(A)||^2 / n^2 = mean(A^2) - 2 mean(m^2)
+    + g^2, where mean(A^2) = 2 var(z) (ddof=0), and m comes from one sort
+    and one cumulative sum of the centred column, O(n log n) per column.
+    Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1];
+    covariates with zero distance variance score 0.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
+    n = data.n
     B = center(np.sqrt(_pairwise(y, np.subtract, np.square)))
-    n2 = data.n * data.n
-    dvar_y = float(_frobenius(B, B)) / n2
+    dvar_y = float(np.square(B).sum()) / (n * n)
     if dvar_y <= 0.0:
         return np.zeros(data.p)
+    # entry r (from 0) of a sorted column x has sum_j |x_r - x_j| = (2r + 2 - n) x_r
+    # + c_{n-1} - 2 c_r, where c is the inclusive cumulative sum of x
+    weight = (2.0 * np.arange(n) + 2.0 - n)[:, None]
+    W = _upper_weights(B)
 
-    def score(z, A):
-        A = _pairwise(z[..., None], np.subtract, np.abs, out=A)
-        m = A.mean(axis=-1)  # before the product with B overwrites A
-        dcov2 = _frobenius(A, B, out=A) / n2
-        dvar_x = 2.0 * z.var(axis=-1) - 2.0 * np.square(m).mean(axis=-1) + np.square(m.mean(axis=-1))
+    def score(z):
+        dcov2 = _sweep(z, W, np.subtract, np.abs) / (n * n)
+        x = np.sort(z - z.mean(axis=0), axis=0)
+        c = np.cumsum(x, axis=0)
+        m = (weight * x + c[-1] - 2.0 * c) / n
+        dvar_x = 2.0 * x.var(axis=0) - 2.0 * np.square(m).mean(axis=0) + np.square(m.mean(axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
         return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
 
-    return _score_columns(Z, score)
+    return _score_chunks(Z, score)

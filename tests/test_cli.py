@@ -416,3 +416,100 @@ class TestTopLevel:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "screen" in proc.stdout and "simulate" in proc.stdout
+
+
+def _error_fixtures(tmp_path):
+    """The input files the CLI error table refers to, written into ``tmp_path``."""
+    write_cox_dataset(tmp_path / "d.csv", p=5)
+    write_capped_dataset(tmp_path / "capped.csv")
+    write_scenario_file(tmp_path / "s.cfg")
+    (tmp_path / "censored.csv").write_text(
+        "time,status,z1\n1.0,0,0.1\n2.0,0,0.2\n3.0,0,0.3\n4.0,0,0.4\n"
+    )
+    (tmp_path / "malformed.csv").write_text("not,a,dataset\n1,2,3\n")
+    (tmp_path / "ff.csv").write_bytes(b"time,status,z1\n1.0,1,0.5\xff\n2.0,0,0.1\n3.0,1,0.2\n")
+    (tmp_path / "bad.cfg").write_text("model = cox\nn = 50\n")
+    (tmp_path / "ff.cfg").write_bytes(b"model = cox\nn = 50\np = 15\n# \xff\n")
+    header = "scenario_id,rep,n,p,s,realized_cr,rank_z1\n"
+    (tmp_path / "rec.csv").write_text(header + "x,0,50,15,3,0.2,1\n")
+    (tmp_path / "norows.csv").write_text(header)
+    (tmp_path / "badrec.csv").write_text("who,knows\n1,2\n")
+    (tmp_path / "ff_rec.csv").write_bytes(header.encode() + b"x,0,50,15,3,0.2,1\xff\n")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+
+
+# (argv, extra environment, exit code, file the message must name); {t} is
+# the test's tmp_path. Outputs go to o.csv, o.csv.manifest.json or the run/
+# directory unless the case is about where they go.
+CLI_ERRORS = {
+    "screen_missing_input": ("screen --input {t}/gone.csv --out {t}/o.csv", {}, 2, "gone.csv"),
+    "screen_input_is_directory": ("screen --input {t}/adir --out {t}/o.csv", {}, 2, "adir"),
+    "screen_input_not_utf8": ("screen --input {t}/ff.csv --out {t}/o.csv", {}, 2, "ff.csv"),
+    "screen_malformed_input": ("screen --input {t}/malformed.csv --out {t}/o.csv", {}, 2, None),
+    "screen_hsic_above_sample_cap": ("screen --input {t}/capped.csv --out {t}/o.csv", {}, 2, None),
+    "screen_dc_above_sample_cap": (
+        "screen --input {t}/capped.csv --out {t}/o.csv --method dc", {}, 2, None
+    ),
+    "screen_out_is_directory": ("screen --input {t}/d.csv --out {t}/adir", {}, 2, "adir"),
+    "screen_out_in_missing_directory": (
+        "screen --input {t}/d.csv --out {t}/nodir/o.csv", {}, 2, "nodir/o.csv"
+    ),
+    "screen_manifest_in_missing_directory": (
+        "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/nodir/m.json", {}, 2, "nodir/m.json"
+    ),
+    "screen_all_censored": ("screen --input {t}/censored.csv --out {t}/o.csv", {}, 3, None),
+    "screen_dn_zero": ("screen --input {t}/d.csv --out {t}/o.csv --dn 0", {}, 4, None),
+    "screen_dn_above_p": ("screen --input {t}/d.csv --out {t}/o.csv --dn 6 --method dc", {}, 4, None),
+    "screen_negative_gamma": ("screen --input {t}/d.csv --out {t}/o.csv --gamma -1", {}, 4, None),
+    "screen_nan_gamma": ("screen --input {t}/d.csv --out {t}/o.csv --gamma nan", {}, 4, None),
+    "screen_linear_inf_gamma": (
+        "screen --input {t}/d.csv --out {t}/o.csv --kernel linear --gamma inf", {}, 4, None
+    ),
+    "screen_unknown_flag": ("screen --input {t}/d.csv --out {t}/o.csv --wat", {}, 4, None),
+    "simulate_incomplete_scenario": ("simulate --scenario {t}/bad.cfg --out-dir {t}/run", {}, 2, None),
+    "simulate_scenario_is_directory": ("simulate --scenario {t}/adir --out-dir {t}/run", {}, 2, "adir"),
+    "simulate_scenario_not_utf8": ("simulate --scenario {t}/ff.cfg --out-dir {t}/run", {}, 2, "ff.cfg"),
+    "simulate_out_dir_is_a_file": (
+        "simulate --scenario {t}/s.cfg --out-dir {t}/afile --jobs 1 --replications 1", {}, 2, "afile"
+    ),
+    "simulate_jobs_zero": ("simulate --scenario {t}/s.cfg --out-dir {t}/run --jobs 0", {}, 4, None),
+    "simulate_bad_jobs_env": (
+        "simulate --scenario {t}/s.cfg --out-dir {t}/run", {"SURVSCREEN_JOBS": "zero"}, 4, None
+    ),
+    "simulate_replications_zero": (
+        "simulate --scenario {t}/s.cfg --out-dir {t}/run --replications 0", {}, 4, None
+    ),
+    "evaluate_malformed_records": ("evaluate --records {t}/badrec.csv --out {t}/o.csv", {}, 2, None),
+    "evaluate_records_without_rows": ("evaluate --records {t}/norows.csv --out {t}/o.csv", {}, 2, None),
+    "evaluate_records_is_directory": ("evaluate --records {t}/adir --out {t}/o.csv", {}, 2, "adir"),
+    "evaluate_records_not_utf8": (
+        "evaluate --records {t}/ff_rec.csv --out {t}/o.csv", {}, 2, "ff_rec.csv"
+    ),
+    "evaluate_out_is_directory": ("evaluate --records {t}/rec.csv --out {t}/adir", {}, 2, "adir"),
+    "evaluate_out_in_missing_directory": (
+        "evaluate --records {t}/rec.csv --out {t}/nodir/o.csv", {}, 2, "nodir/o.csv"
+    ),
+    "evaluate_negative_dn": ("evaluate --records {t}/rec.csv --out {t}/o.csv --dn -3", {}, 4, None),
+    "no_subcommand": ("", {}, 4, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    argv, env, code, named = CLI_ERRORS[case]
+    _error_fixtures(tmp_path)
+    before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        returned = cli.main(argv.format(t=tmp_path).split())
+    except SystemExit as exc:
+        returned = exc.code
+    stderr = capsys.readouterr().err
+    assert returned == code, stderr
+    assert "Traceback" not in stderr
+    errors = [line for line in stderr.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("survscreen: error: "), stderr
+    assert named is None or named in errors[0]
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before

@@ -149,22 +149,33 @@ class TestCenter:
         Lc = center(L)
         assert np.allclose(center(Lc), Lc, atol=1e-12)
 
-    def test_stack_in_place_matches_each_matrix_bitwise(self):
+    def test_subtracts_row_column_and_grand_means_bitwise(self):
         rng = np.random.default_rng(12)
-        L = np.stack([gram(rng.standard_normal((100, 2)), GAUSSIAN_DEFAULT) for _ in range(3)])
-        expected = [center(M) for M in L]
-        assert center(L, out=L) is L
-        assert all(np.array_equal(M, e) for M, e in zip(L, expected))
+        L = gram(rng.standard_normal((100, 2)), GAUSSIAN_DEFAULT)
+        before = L.copy()
+        expected = L - L.mean(axis=1)[:, None] - L.mean(axis=0)[None, :] + L.mean()
+        assert center(L).tobytes() == expected.tobytes()
+        assert L.tobytes() == before.tobytes()
 
 
 class TestHsic:
-    def test_stack_in_place_matches_each_matrix_bitwise(self):
+    def test_sums_diagonal_by_diagonal_in_row_order(self):
+        # The column scorer of screen() weights the upper triangle of K by
+        # both triangles of Lc, adds each diagonal in row order and the
+        # diagonals in order; hsic() must give the same bits. n*n = 10000
+        # exceeds numpy's 8192-element buffer.
         rng = np.random.default_rng(13)
-        K = np.stack([gram(rng.standard_normal((100, 1)), GAUSSIAN_DEFAULT) for _ in range(3)])
-        Lc = center(gram(rng.standard_normal((100, 2)), GAUSSIAN_DEFAULT))
-        expected, product = [hsic(M, Lc) for M in K], K * Lc
-        assert hsic(K, Lc, out=K).tolist() == expected
-        assert np.array_equal(K, product)
+        n = 100
+        K = gram(rng.standard_normal((n, 1)), GAUSSIAN_DEFAULT)
+        Lc = center(gram(rng.standard_normal((n, 2)), GAUSSIAN_DEFAULT))
+        total = 0.0
+        for k in range(n):
+            s = 0.0
+            for i in range(n - k):
+                weight = Lc[i, i + k] + Lc[i + k, i] if k else Lc[i, i]
+                s += K[i, i + k] * weight
+            total += s
+        assert hsic(K, Lc, clamp=False) == total / ((n - 1) * (n - 1))
 
     def test_constant_response_is_exact_zero(self):
         rng = np.random.default_rng(5)

@@ -260,9 +260,11 @@ def test_active_signal_dominates_inactive_background():
 
 @pytest.mark.parametrize("method", ["gaussian", "laplacian", "linear", "dc"])
 def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
-    # n*n = 10000 exceeds numpy's 8192-element reduction buffer, and p=7
-    # leaves a short last block of 3, so every column is also scored at
-    # other block positions: alone, in reversed order, and in full blocks.
+    # The budget is CHUNK_COLUMNS, the columns scored together. Every column
+    # is also scored at other widths and positions: in a full chunk of 256
+    # and a short one after it, where an offset's slab outgrows numpy's
+    # 8192-element reduction buffer; alone, padded to two; in reversed
+    # order; and in chunks of 3, which leave a lone last column.
     data = make_dataset(np.random.default_rng(21), n=100, p=7)
     data.covariates[:, 5] = data.covariates[:, 1]
 
@@ -275,9 +277,10 @@ def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
 
     reference = utilities(data.covariates)
     assert reference[1] == reference[5]
-    buffers = 2 if method == "dc" else 1
+    wide = np.repeat(data.covariates, 40, axis=1)  # a full chunk of 256 and a short one
+    assert np.array_equal(utilities(wide), np.repeat(reference, 40))
     for columns in (1, 3, data.p):
-        monkeypatch.setattr(screening, "BLOCK_BYTES", columns * buffers * 8 * data.n * data.n)
+        monkeypatch.setattr(screening, "CHUNK_COLUMNS", columns)
         assert np.array_equal(utilities(data.covariates), reference)
         assert np.array_equal(utilities(data.covariates[:, ::-1])[::-1], reference)
         for k in range(data.p):
