@@ -12,8 +12,9 @@ Three subcommands:
 Exit codes: 0 success, 2 parse or validation failure or a file that
 cannot be read or written, 3 degenerate data, 4 bad flags, 5 censoring
 calibration failure. ``screen`` and ``evaluate`` check that their output
-paths can be written before they read anything, so a failed run leaves
-no partial output.
+paths can be written before they read anything, and ``simulate`` creates
+--out-dir only once its run has succeeded, so a failed run leaves no
+partial output.
 
 The default for --jobs is the SURVSCREEN_JOBS environment variable when
 set, otherwise the number of logical cores. Replication streams are
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 
@@ -91,6 +91,18 @@ def _check_output(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _check_out_dir(path) -> None:
+    """Raise the error ``os.makedirs(path, exist_ok=True)`` would raise on a
+    file in the way, so a run that could not save its output does no work."""
+    head, missing = path, path
+    while head and not os.path.exists(head):
+        head, missing = os.path.dirname(head), head
+    if head == path and not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    if head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
 def build_parser() -> _Parser:
@@ -176,10 +188,10 @@ def build_parser() -> _Parser:
 def cmd_screen(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
-    if not math.isfinite(args.gamma):
-        parser.error(f"--gamma must be finite, got {args.gamma}")
-    if args.kernel != "linear" and args.gamma <= 0:
-        parser.error(f"--gamma must be positive, got {args.gamma}")
+    try:
+        spec = KernelSpec(family=args.kernel, gamma=args.gamma)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
 
     manifest_path = args.manifest or args.out + ".manifest.json"
     _check_output(args.out)
@@ -187,7 +199,6 @@ def cmd_screen(parser: _Parser, args) -> int:
     data = read_dataset(args.input)
     if args.dn is not None and args.dn > data.p:
         parser.error(f"--dn must be at most p = {data.p}, got {args.dn}")
-    spec = KernelSpec(family=args.kernel, gamma=args.gamma)
     if args.method == "hsic":
         result = screen(
             data,
@@ -233,12 +244,13 @@ def cmd_simulate(parser: _Parser, args) -> int:
     replications = (
         config.replications if args.replications is None else args.replications
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    _check_out_dir(args.out_dir)
 
     scale = censoring_scale(scenario)
     records, summary = run_experiment(
         scenario, method=args.method, replications=replications, parallelism=jobs
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "records.csv")
     write_records(records_path, records, scenario.active_set)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec
 from .screening import dc_utility, default_cutoff, rank_utilities, screen
 from .simulate import SimScenario, generate
 
@@ -140,23 +139,16 @@ def summarize_records(
     )
 
 
-def _screen_one(
-    scenario: SimScenario,
-    replication: int,
-    method: str,
-    spec_z: KernelSpec,
-    spec_y: KernelSpec,
-    scenario_id: str,
-) -> ReplicationRecord:
+def _screen_one(scenario: SimScenario, replication: int, method: str) -> ReplicationRecord:
     gen = generate(scenario, replication)
     data = gen.dataset
     if method == "hsic":
-        result = screen(data, spec_z=spec_z, spec_y=spec_y)
+        result = screen(data)
     else:
         result = rank_utilities(dc_utility(data), data.n)
     ranks = rank_positions(result.ranking, gen.active_set)
     return ReplicationRecord(
-        scenario_id=scenario_id,
+        scenario_id=scenario.default_id,
         replication=replication,
         n=data.n,
         p=data.p,
@@ -171,17 +163,14 @@ def run_experiment(
     method: str = "hsic",
     replications: int = 200,
     parallelism: int = 1,
-    *,
-    spec_z: KernelSpec = GAUSSIAN_DEFAULT,
-    spec_y: KernelSpec = GAUSSIAN_DEFAULT,
-    scenario_id: str | None = None,
-    d_n: int | None = None,
 ) -> tuple[list[ReplicationRecord], EvalSummary]:
-    """Run a replicated screening experiment and summarize it.
+    """Run a replicated screening experiment and summarize it at ``default_cutoff(n)``.
 
     Replication r is generated from its own RNG stream, so the records do
     not depend on ``parallelism``; workers only change wall time. Records
-    are returned in replication order.
+    are returned in replication order. When a replication raises, the error
+    propagates and replications not yet started are cancelled. For other
+    cutoffs, pass the records to ``summarize_records``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -189,19 +178,10 @@ def run_experiment(
         raise ValueError(f"replications must be positive, got {replications}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
-    sid = scenario.default_id if scenario_id is None else scenario_id
-    cutoff = default_cutoff(scenario.n) if d_n is None else int(d_n)
-    if cutoff < 1:
-        raise ValueError(f"d_n must be positive, got {cutoff}")
 
-    def one(r: int) -> ReplicationRecord:
-        return _screen_one(scenario, r, method, spec_z, spec_y, sid)
-
-    if parallelism == 1:
-        records = [one(r) for r in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(one, range(replications)))
-
-    summary = summarize_records(records, scenario.active_set, cutoff, method=method)
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        records = list(pool.map(lambda r: _screen_one(scenario, r, method), range(replications)))
+    summary = summarize_records(
+        records, scenario.active_set, default_cutoff(scenario.n), method=method
+    )
     return records, summary

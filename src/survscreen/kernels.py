@@ -41,7 +41,7 @@ class KernelSpec:
 
     gaussian:  k(x, y) = exp(-||x - y||^2 / (2 gamma^2))
     laplacian: k(x, y) = exp(-||x - y||_1 / gamma)
-    linear:    k(x, y) = <x, y>          (gamma unused)
+    linear:    k(x, y) = <x, y>          (gamma unused, but must be finite)
     """
 
     family: str = "gaussian"
@@ -52,10 +52,11 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if self.family in ("gaussian", "laplacian"):
-            gamma = float(self.gamma)
-            if not np.isfinite(gamma) or gamma <= 0.0:
-                raise ValueError(f"bandwidth gamma must be a positive real, got {self.gamma}")
+        gamma = float(self.gamma)
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        if self.family != "linear" and gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
 
 
 #: The default used throughout: Gaussian with bandwidth 2 on every side.

@@ -10,7 +10,7 @@ provided as an optional baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class StandardizedResponse:
     """Two-column response (time, status), each centered and scaled to unit sd."""
 
     y: np.ndarray
-    mu_x: float
-    sd_x: float
-    mu_d: float
-    sd_d: float
 
 
 @dataclass
@@ -91,15 +87,14 @@ class ScreenResult:
     ranking: np.ndarray
     selected: np.ndarray
     d_n: int
-    spec_z: KernelSpec = field(default=GAUSSIAN_DEFAULT)
-    spec_y: KernelSpec = field(default=GAUSSIAN_DEFAULT)
 
 
 def standardize(times, status) -> StandardizedResponse:
     """Standardize (time, status) marginally with sample moments (ddof=1).
 
-    Raises DegenerateTimesError when times have zero variance and
-    DegenerateStatusError when everyone is censored or everyone an event.
+    Raises DegenerateTimesError when times have zero variance or one that
+    overflows double precision, and DegenerateStatusError when everyone is
+    censored or everyone an event.
     """
     times = np.asarray(times, dtype=np.float64)
     status = np.asarray(status, dtype=np.float64)
@@ -108,18 +103,23 @@ def standardize(times, status) -> StandardizedResponse:
     n = times.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 subjects to standardize, got {n}")
-    mu_x = float(times.mean())
-    sd_x = float(times.std(ddof=1))
+    with np.errstate(over="ignore"):
+        mu_x = float(times.mean())
+        sd_x = float(times.std(ddof=1))
     mu_d = float(status.mean())
     sd_d = float(status.std(ddof=1))
-    if not np.isfinite(sd_x) or sd_x <= 0.0:
+    if not np.isfinite(sd_x):
+        raise DegenerateTimesError(
+            "the variance of the observed times overflows double precision"
+        )
+    if sd_x <= 0.0:
         raise DegenerateTimesError("observed times have zero variance")
     if sd_d <= 0.0:
         raise DegenerateStatusError(
             "status has zero variance (all subjects censored or all events)"
         )
     y = np.column_stack(((times - mu_x) / sd_x, (status - mu_d) / sd_d))
-    return StandardizedResponse(y=y, mu_x=mu_x, sd_x=sd_x, mu_d=mu_d, sd_d=sd_d)
+    return StandardizedResponse(y=y)
 
 
 def default_cutoff(n: int) -> int:
@@ -170,7 +170,7 @@ def screen(
         return np.where(value < 0.0, 0.0, value)
 
     omega = _score_chunks(Z, score)
-    return replace(rank_utilities(omega, data.n, d_n), spec_z=spec_z, spec_y=spec_y)
+    return rank_utilities(omega, data.n, d_n)
 
 
 def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool):
@@ -204,7 +204,7 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
 
     Ties are broken by ascending covariate index. ``d_n`` defaults to
     ``default_cutoff(n)`` capped at p; an explicit ``d_n`` must lie in
-    1..p. The result carries no kernel specs.
+    1..p.
     """
     p = omega.shape[0]
     if d_n is not None and not 1 <= d_n <= p:
@@ -216,8 +216,6 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
         ranking=ranking,
         selected=ranking[:d].copy(),
         d_n=d,
-        spec_z=None,
-        spec_y=None,
     )
 
 

@@ -271,27 +271,24 @@ def _calibration_rng(scenario: SimScenario) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "little")))
 
 
-def calibrate_censoring(
-    scenario: SimScenario,
-    n_cal: int = 50_000,
-    rng: np.random.Generator | None = None,
-    *,
-    tol: float = 0.005,
-    max_steps: int = 200,
-) -> float:
-    """Censoring scale whose Monte Carlo rate is within ``tol`` of the target.
+#: How far the calibrated Monte Carlo censoring rate may be from the target.
+_CALIBRATION_TOL = 0.005
 
-    Draws (T, Z) once, then bisects geometrically on the scale; the rate is
-    the exact conditional censoring probability given those draws, which is
-    continuous and monotone decreasing in the scale. Raises
-    InfeasibleTargetError when no bracket exists and NoConvergenceError
-    after ``max_steps`` bisection steps.
+
+def calibrate_censoring(
+    scenario: SimScenario, n_cal: int = 50_000, *, max_steps: int = 200
+) -> float:
+    """Censoring scale whose Monte Carlo rate is within 0.005 of the target.
+
+    Draws (T, Z) once from the scenario's calibration stream, then bisects
+    geometrically on the scale; the rate is the exact conditional censoring
+    probability given those draws, which is continuous and monotone
+    decreasing in the scale. Raises InfeasibleTargetError when no bracket
+    exists and NoConvergenceError after ``max_steps`` bisection steps.
     """
     if n_cal < 10_000:
         raise ValueError(f"n_cal must be at least 10,000, got {n_cal}")
-    if rng is None:
-        rng = _calibration_rng(scenario)
-    t, w = _draw_latent(scenario, n_cal, rng)
+    t, w = _draw_latent(scenario, n_cal, _calibration_rng(scenario))
     target = scenario.target_cr
 
     lo = hi = 1.0
@@ -314,14 +311,14 @@ def calibrate_censoring(
     for _ in range(max_steps):
         mid = float(np.sqrt(lo * hi))
         rate = _censoring_rate(t, w, mid)
-        if abs(rate - target) <= tol:
+        if abs(rate - target) <= _CALIBRATION_TOL:
             return mid
         if rate > target:
             lo = mid
         else:
             hi = mid
     raise NoConvergenceError(
-        f"bisection did not reach |rate - {target}| <= {tol} in {max_steps} steps"
+        f"bisection did not reach |rate - {target}| <= {_CALIBRATION_TOL} in {max_steps} steps"
     )
 
 
@@ -329,7 +326,7 @@ _scale_cache: dict[tuple, float] = {}
 _scale_lock = threading.Lock()
 
 
-def censoring_scale(scenario: SimScenario, n_cal: int = 50_000) -> float:
+def censoring_scale(scenario: SimScenario) -> float:
     """Calibrated censoring scale for a scenario, cached across calls.
 
     The cache key is (model, p, censoring, target_cr, rho); the scenario
@@ -341,7 +338,7 @@ def censoring_scale(scenario: SimScenario, n_cal: int = 50_000) -> float:
         cached = _scale_cache.get(key)
     if cached is not None:
         return cached
-    scale = calibrate_censoring(scenario, n_cal=n_cal)
+    scale = calibrate_censoring(scenario)
     with _scale_lock:
         _scale_cache.setdefault(key, scale)
     return scale

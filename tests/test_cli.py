@@ -10,6 +10,7 @@ import pytest
 from survscreen import cli
 from survscreen.dataio import read_dataset, read_records, write_dataset
 from survscreen.evaluate import run_experiment
+from survscreen.exceptions import InfeasibleTargetError
 from survscreen.kernels import DEFAULT_MAX_SAMPLES
 from survscreen.screening import SurvivalDataset
 from survscreen.simulate import SimScenario, generate
@@ -426,6 +427,9 @@ def _error_fixtures(tmp_path):
     (tmp_path / "censored.csv").write_text(
         "time,status,z1\n1.0,0,0.1\n2.0,0,0.2\n3.0,0,0.3\n4.0,0,0.4\n"
     )
+    (tmp_path / "huge.csv").write_text(
+        "time,status,z1\n1e200,1,0.1\n2e200,0,0.2\n3e200,1,0.3\n4e200,0,0.4\n"
+    )
     (tmp_path / "malformed.csv").write_text("not,a,dataset\n1,2,3\n")
     (tmp_path / "ff.csv").write_bytes(b"time,status,z1\n1.0,1,0.5\xff\n2.0,0,0.1\n3.0,1,0.2\n")
     (tmp_path / "bad.cfg").write_text("model = cox\nn = 50\n")
@@ -459,6 +463,7 @@ CLI_ERRORS = {
         "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/nodir/m.json", {}, 2, "nodir/m.json"
     ),
     "screen_all_censored": ("screen --input {t}/censored.csv --out {t}/o.csv", {}, 3, None),
+    "screen_times_variance_overflows": ("screen --input {t}/huge.csv --out {t}/o.csv", {}, 3, None),
     "screen_dn_zero": ("screen --input {t}/d.csv --out {t}/o.csv --dn 0", {}, 4, None),
     "screen_dn_above_p": ("screen --input {t}/d.csv --out {t}/o.csv --dn 6 --method dc", {}, 4, None),
     "screen_negative_gamma": ("screen --input {t}/d.csv --out {t}/o.csv --gamma -1", {}, 4, None),
@@ -499,7 +504,7 @@ CLI_ERRORS = {
 def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
     argv, env, code, named = CLI_ERRORS[case]
     _error_fixtures(tmp_path)
-    before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    before = sorted(tmp_path.rglob("*"))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     try:
@@ -512,4 +517,30 @@ def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, caps
     errors = [line for line in stderr.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("survscreen: error: "), stderr
     assert named is None or named in errors[0]
-    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/run", "afile/run/deeper"])
+def test_out_dir_blocked_by_a_file_fails_before_any_work(tmp_path, monkeypatch, capsys, out_dir):
+    def no_work(scenario):
+        raise AssertionError("calibrated although the output cannot be saved")
+
+    write_scenario_file(tmp_path / "s.cfg")
+    (tmp_path / "afile").write_text("")
+    monkeypatch.setattr(cli, "censoring_scale", no_work)
+    argv = ["simulate", "--scenario", str(tmp_path / "s.cfg"), "--out-dir"]
+    assert cli.main(argv + [str(tmp_path / out_dir)]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("survscreen: error: ") and "afile" in error
+
+
+def test_failed_calibration_exits_5_and_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
+    def infeasible(scenario):
+        raise InfeasibleTargetError("no scale this large reaches censoring rate 0.2")
+
+    write_scenario_file(tmp_path / "s.cfg")
+    monkeypatch.setattr(cli, "censoring_scale", infeasible)
+    argv = ["simulate", "--scenario", str(tmp_path / "s.cfg"), "--out-dir"]
+    assert cli.main(argv + [str(tmp_path / "run"), "--jobs", "1"]) == 5
+    assert capsys.readouterr().err.startswith("survscreen: error: no scale")
+    assert not (tmp_path / "run").exists()

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from survscreen import evaluate
 from survscreen.evaluate import (
     ReplicationRecord,
     aggregate,
@@ -209,11 +212,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="parallelism"):
             run_experiment(sc, replications=1, parallelism=0)
 
-    def test_custom_cutoff_and_id(self):
-        sc = SimScenario("cox", 40, 15, seed=9)
-        records, summary = run_experiment(
-            sc, replications=2, scenario_id="my-run", d_n=3
-        )
-        assert summary.scenario_id == "my-run"
-        assert summary.d_n == 3
-        assert all(r.scenario_id == "my-run" for r in records)
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_failing_replication_cancels_those_not_started(self, monkeypatch, parallelism):
+        class Boom(Exception):
+            pass
+
+        started = []
+        real_generate = evaluate.generate
+
+        def generate_failing_first(scenario, replication):
+            started.append(replication)
+            if replication == 0:
+                raise Boom
+            time.sleep(0.01)
+            return real_generate(scenario, replication)
+
+        monkeypatch.setattr(evaluate, "generate", generate_failing_first)
+        with pytest.raises(Boom):
+            run_experiment(
+                SimScenario("cox", 30, 10, seed=4), replications=60, parallelism=parallelism
+            )
+        # thread scheduling decides the exact count; without cancellation all 60 start
+        assert len(started) < 30

@@ -42,6 +42,11 @@ class TestKernelSpec:
     def test_linear_ignores_gamma_sign(self):
         KernelSpec(family="linear", gamma=-5.0)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplacian", "linear"])
+    def test_non_finite_gamma_rejected_for_every_family(self, family):
+        with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+            KernelSpec(family, math.inf)
+
 
 class TestGram:
     def test_identical_points(self):
