@@ -20,6 +20,7 @@ from survscreen import (
     rank_positions,
     screen,
 )
+from survscreen.screening import rank_utilities
 
 
 def main():
@@ -33,9 +34,8 @@ def main():
         model="cox", n=args.n, p=args.p, censoring="random", target_cr=0.2,
         seed=args.seed,
     )
-    gen = generate(scenario, replication=0)
-    data = gen.dataset
-    active = gen.active_set
+    data = generate(scenario, replication=0).dataset
+    active = scenario.active_set
     print(f"dataset: n = {data.n}, p = {data.p}")
     print(f"censoring fraction: {float(np.mean(data.status == 0)):.3f}")
     print(f"active covariates (0-based): {active}")
@@ -62,7 +62,7 @@ def main():
     # The distance-correlation utility ranks with the same convention and
     # usually agrees on the strong signals.
     omega_dc = dc_utility(data)
-    ranking_dc = np.argsort(-omega_dc, kind="stable")
+    ranking_dc = rank_utilities(omega_dc, data.n).ranking
     s_dc = min_model_size(ranking_dc, active)
     print(f"\ndistance correlation: minimum model size S = {s_dc}")
     overlap = len(set(map(int, result.ranking[:10])) & set(map(int, ranking_dc[:10])))

@@ -48,15 +48,12 @@ class ReplicationRecord:
 
 @dataclass
 class EvalSummary:
-    """Aggregate metrics for one scenario and screening method."""
+    """Aggregate metrics for one scenario's records at one cutoff."""
 
     scenario_id: str
-    method: str
     replications: int
     d_n: int
     s_median: float
-    s_q1: float
-    s_q3: float
     s_iqr: float
     pe: dict[int, float]
     p_a: float
@@ -104,13 +101,7 @@ def selection_proportions(
     return pe, p_a
 
 
-def summarize_records(
-    records: list[ReplicationRecord],
-    active_set,
-    d_n: int,
-    *,
-    method: str = "",
-) -> EvalSummary:
+def summarize_records(records: list[ReplicationRecord], active_set, d_n: int) -> EvalSummary:
     """Aggregate existing records at a cutoff, without re-screening.
 
     All records must belong to one scenario; S and the stored rank
@@ -123,16 +114,13 @@ def summarize_records(
     sids = {r.scenario_id for r in records}
     if len(sids) != 1:
         raise ValueError(f"records mix scenarios: {sorted(sids)}")
-    s_median, s_q1, s_q3, s_iqr = aggregate([r.s for r in records])
+    s_median, _, _, s_iqr = aggregate([r.s for r in records])
     pe, p_a = selection_proportions(records, active_set, d_n)
     return EvalSummary(
         scenario_id=records[0].scenario_id,
-        method=method,
         replications=len(records),
         d_n=int(d_n),
         s_median=s_median,
-        s_q1=s_q1,
-        s_q3=s_q3,
         s_iqr=s_iqr,
         pe=pe,
         p_a=p_a,
@@ -140,13 +128,12 @@ def summarize_records(
 
 
 def _screen_one(scenario: SimScenario, replication: int, method: str) -> ReplicationRecord:
-    gen = generate(scenario, replication)
-    data = gen.dataset
+    data = generate(scenario, replication).dataset
     if method == "hsic":
         result = screen(data)
     else:
         result = rank_utilities(dc_utility(data), data.n)
-    ranks = rank_positions(result.ranking, gen.active_set)
+    ranks = rank_positions(result.ranking, scenario.active_set)
     return ReplicationRecord(
         scenario_id=scenario.default_id,
         replication=replication,
@@ -181,7 +168,5 @@ def run_experiment(
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         records = list(pool.map(lambda r: _screen_one(scenario, r, method), range(replications)))
-    summary = summarize_records(
-        records, scenario.active_set, default_cutoff(scenario.n), method=method
-    )
+    summary = summarize_records(records, scenario.active_set, default_cutoff(scenario.n))
     return records, summary

@@ -92,14 +92,16 @@ class ScreenResult:
 def standardize(times, status) -> StandardizedResponse:
     """Standardize (time, status) marginally with sample moments (ddof=1).
 
-    Raises DegenerateTimesError when times have zero variance or one that
-    overflows double precision, and DegenerateStatusError when everyone is
-    censored or everyone an event.
+    Raises ValueError unless times and status are finite, DegenerateTimesError
+    when times have zero variance or one that overflows double precision, and
+    DegenerateStatusError when everyone is censored or everyone an event.
     """
     times = np.asarray(times, dtype=np.float64)
     status = np.asarray(status, dtype=np.float64)
     if times.ndim != 1 or status.ndim != 1 or times.shape != status.shape:
         raise ValueError("times and status must be 1-d vectors of equal length")
+    if not (np.isfinite(times).all() and np.isfinite(status).all()):
+        raise ValueError("times and status must be finite")
     n = times.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 subjects to standardize, got {n}")

@@ -44,7 +44,15 @@ ACTIVE_SETS = {
 
 DEFAULT_RHO = {"cox": 0.8, "nonlinear": 0.8, "transformation": 0.5}
 
-_MIN_P = {"cox": 5, "nonlinear": 10, "transformation": 10}
+
+def _min_p(model: str) -> int:
+    """Fewest covariates a model can use: enough to hold its whole active set.
+
+    Informative censoring reads z1 and z2, which every model's active range
+    already covers, so it adds nothing to this bound.
+    """
+    return max(ACTIVE_SETS[model]) + 1
+
 
 #: Stream scheme recorded in run manifests.
 RNG_STREAM_ID = "numpy.PCG64/SeedSequence(entropy=seed, spawn_key=(replication,))"
@@ -71,9 +79,7 @@ class SimScenario:
             )
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
-        min_p = _MIN_P[self.model]
-        if self.censoring == "informative":
-            min_p = max(min_p, 2)
+        min_p = _min_p(self.model)
         if self.p < min_p:
             raise ValueError(f"model {self.model!r} needs p >= {min_p}, got {self.p}")
         if not 0.0 < self.target_cr < 1.0:
@@ -99,12 +105,11 @@ class SimScenario:
 
 @dataclass
 class GeneratedData:
-    """A simulated dataset together with its latent times and truth."""
+    """A simulated dataset together with its latent failure and censoring times."""
 
     dataset: SurvivalDataset
     true_times: np.ndarray
     censor_times: np.ndarray
-    active_set: tuple[int, ...]
 
 
 def replication_rng(seed: int, replication: int = 0) -> np.random.Generator:
@@ -180,14 +185,12 @@ def sample_cox_time(z, beta, rng: np.random.Generator):
     return 0.5 + np.cbrt(3.0 * e * np.exp(-eta) - 0.125)
 
 
-def sample_nonlinear_time(z, rng: np.random.Generator, *, log_scale: bool = False):
+def sample_nonlinear_time(z, rng: np.random.Generator):
     """Failure times from the nonlinear interaction model.
 
     log T = (2 + sin z1)^2 + (1 + z5)^3 + 3 z10^2 + z1 z10 + eps with
     eps ~ N(0, 1). The log time only involves covariates 1, 5, and 10.
-    ``z`` is an (n, p) matrix. With ``log_scale`` the log time is returned
-    directly; otherwise the raw time is returned and an OverflowError is
-    raised if exp overflows.
+    ``z`` is an (n, p) matrix. Raises OverflowError if exp overflows.
     """
     z = _covariate_rows(z)
     if z.shape[1] < 10:
@@ -195,15 +198,10 @@ def sample_nonlinear_time(z, rng: np.random.Generator, *, log_scale: bool = Fals
     eps = rng.standard_normal(z.shape[0])
     z1, z5, z10 = z[:, 0], z[:, 4], z[:, 9]
     logt = (2.0 + np.sin(z1)) ** 2 + (1.0 + z5) ** 3 + 3.0 * z10**2 + z1 * z10 + eps
-    if log_scale:
-        return logt
     with np.errstate(over="ignore"):
         t = np.exp(logt)
     if not np.isfinite(t).all():
-        raise OverflowError(
-            "nonlinear failure time overflows double precision; "
-            "use log_scale=True to work with log times"
-        )
+        raise OverflowError("nonlinear failure time overflows double precision")
     return t
 
 
@@ -240,8 +238,7 @@ def _censor_weights(censoring: str, z: np.ndarray) -> np.ndarray:
 
 def _draw_latent(scenario: SimScenario, size: int, rng: np.random.Generator):
     """Draw (T, censor-scale weights) with covariates truncated to the active range."""
-    p_eff = min(scenario.p, max(_MIN_P[scenario.model], 2))
-    z = sample_ar1_normal(size, p_eff, scenario.rho, rng)
+    z = sample_ar1_normal(size, min(scenario.p, _min_p(scenario.model)), scenario.rho, rng)
     return _sample_times(scenario.model, z, rng), _censor_weights(scenario.censoring, z)
 
 
@@ -331,17 +328,14 @@ def censoring_scale(scenario: SimScenario) -> float:
 
     The cache key is (model, p, censoring, target_cr, rho); the scenario
     seed deliberately plays no role, so every replication of a scenario
-    family shares one calibration.
+    family shares one calibration. Calibration runs under the cache lock, so
+    threads that ask for a cold scenario at once wait for one calibration.
     """
     key = (scenario.model, scenario.p, scenario.censoring, scenario.target_cr, scenario.rho)
     with _scale_lock:
-        cached = _scale_cache.get(key)
-    if cached is not None:
-        return cached
-    scale = calibrate_censoring(scenario)
-    with _scale_lock:
-        _scale_cache.setdefault(key, scale)
-    return scale
+        if key not in _scale_cache:
+            _scale_cache[key] = calibrate_censoring(scenario)
+        return _scale_cache[key]
 
 
 def generate(scenario: SimScenario, replication: int = 0) -> GeneratedData:
@@ -358,9 +352,4 @@ def generate(scenario: SimScenario, replication: int = 0) -> GeneratedData:
     c = scale * _censor_weights(scenario.censoring, z) * rng.random(scenario.n)
     status = (t <= c).astype(np.int8)
     dataset = SurvivalDataset(times=np.minimum(t, c), status=status, covariates=z)
-    return GeneratedData(
-        dataset=dataset,
-        true_times=t,
-        censor_times=c,
-        active_set=scenario.active_set,
-    )
+    return GeneratedData(dataset=dataset, true_times=t, censor_times=c)

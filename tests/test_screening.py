@@ -115,6 +115,16 @@ class TestStandardize:
         with pytest.raises(DegenerateTimesError, match="overflows"):
             standardize([1e200, 2e200, 3e200, 4e200], [1, 0, 1, 0])
 
+    @pytest.mark.parametrize(
+        "times, status",
+        [([1.0, math.inf, 2.0], [1, 0, 1]), ([1.0, 3.0, 2.0], [1, math.nan, 1])],
+        ids=["infinite_time", "nan_status"],
+    )
+    def test_non_finite_input_rejected_before_any_moment(self, times, status):
+        # checked up front, so no moment is taken and numpy never warns
+        with pytest.raises(ValueError, match="times and status must be finite"):
+            standardize(times, status)
+
 
 class TestDefaultCutoff:
     def test_published_values(self):

@@ -1,13 +1,17 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from survscreen import simulate
+from survscreen.evaluate import run_experiment
 from survscreen.exceptions import NoConvergenceError
 from survscreen.screening import screen
 from survscreen.simulate import (
     ACTIVE_SETS,
+    CENSORINGS,
     DEFAULT_RHO,
     SimScenario,
     calibrate_censoring,
@@ -48,6 +52,24 @@ class TestSimScenario:
             SimScenario("nonlinear", 50, 9)
         with pytest.raises(ValueError, match="p >= 10"):
             SimScenario("transformation", 50, 9)
+
+    @pytest.mark.parametrize("censoring", CENSORINGS)
+    @pytest.mark.parametrize("model, m", [("cox", 5), ("nonlinear", 10), ("transformation", 10)])
+    def test_minimum_p_is_one_past_the_last_active_index(self, monkeypatch, model, m, censoring):
+        assert max(ACTIVE_SETS[model]) + 1 == m
+        with pytest.raises(ValueError, match=f"model '{model}' needs p >= {m}, got {m - 1}"):
+            SimScenario(model, 50, m - 1, censoring)
+        widths = []
+
+        def recording(n, p, rho, rng):
+            widths.append(p)
+            return sample_ar1_normal(n, p, rho, rng)
+
+        monkeypatch.setattr(simulate, "sample_ar1_normal", recording)
+        for p in (m, m + 7):
+            calibrate_censoring(SimScenario(model, 50, p, censoring))
+        # calibration draws only the columns the model and censoring read
+        assert widths == [m, m]
 
     def test_target_cr_bounds(self):
         with pytest.raises(ValueError, match="target_cr"):
@@ -149,17 +171,11 @@ class TestCoxSampler:
 
 
 class TestNonlinearSampler:
-    def test_log_and_raw_agree(self):
-        z = sample_ar1_normal(200, 10, 0.8, np.random.default_rng(7))
-        raw = sample_nonlinear_time(z, np.random.default_rng(8))
-        logt = sample_nonlinear_time(z, np.random.default_rng(8), log_scale=True)
-        assert np.array_equal(raw, np.exp(logt))
-
     def test_log_time_formula(self):
         rng = np.random.default_rng(9)
         z = sample_ar1_normal(300, 10, 0.8, rng)
         eps_rng = np.random.default_rng(10)
-        logt = sample_nonlinear_time(z, np.random.default_rng(10), log_scale=True)
+        logt = np.log(sample_nonlinear_time(z, np.random.default_rng(10)))
         eps = eps_rng.standard_normal(300)
         expected = (
             (2.0 + np.sin(z[:, 0])) ** 2
@@ -173,9 +189,8 @@ class TestNonlinearSampler:
     def test_overflow_raises(self):
         z = np.zeros((3, 10))
         z[:, 4] = 9.0  # (1 + 9)^3 = 1000 > log of the double max
-        with pytest.raises(OverflowError, match="log_scale"):
+        with pytest.raises(OverflowError, match="overflows double precision"):
             sample_nonlinear_time(z, np.random.default_rng(11))
-        sample_nonlinear_time(z, np.random.default_rng(11), log_scale=True)
 
     def test_needs_ten_covariates(self):
         with pytest.raises(ValueError, match="p >= 10"):
@@ -269,6 +284,19 @@ class TestCalibration:
             t.join()
         assert len(set(results)) == 1
 
+    def test_cold_scenario_calibrated_once_by_a_parallel_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_scale_cache", {})
+        calls = []
+
+        def counting(scenario, *args, **kwargs):
+            calls.append(scenario)
+            time.sleep(0.05)  # widen the window in which a second worker could miss the cache
+            return calibrate_censoring(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", counting)
+        run_experiment(SimScenario("cox", 40, 12, seed=1), "hsic", 8, 2)
+        assert len(calls) == 1
+
 
 class TestGenerate:
     def test_bit_reproducible(self):
@@ -301,7 +329,6 @@ class TestGenerate:
         assert np.array_equal(
             gen.dataset.status, (gen.true_times <= gen.censor_times).astype(np.int8)
         )
-        assert gen.active_set == ACTIVE_SETS["transformation"]
 
     def test_realized_rate_near_target_at_large_n(self):
         for model in ("cox", "nonlinear", "transformation"):
