@@ -12,7 +12,8 @@ Three subcommands:
 Exit codes: 0 success, 2 parse or validation failure or a file that
 cannot be read or written, 3 degenerate data, 4 bad flags, 5 censoring
 calibration failure. ``screen`` and ``evaluate`` check that their output
-paths can be written before they read anything, and ``simulate`` creates
+paths can be written, and name neither the input nor each other (exit 4),
+before they read anything, and ``simulate`` creates
 --out-dir only once its run has succeeded, so a failed run leaves no
 partial output.
 
@@ -24,6 +25,7 @@ fixed by (seed, replication index), so --jobs never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import sys
@@ -91,6 +93,30 @@ def _check_output(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _check_distinct(parser: _Parser, *named_paths) -> None:
+    """Exit 4, naming both flags, if two ``(flag, path)`` pairs resolve to one
+    file, so no output overwrites the input or another output."""
+    seen: dict[str, str] = {}
+    for flag, path in named_paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            parser.error(f"{seen[real]} and {flag} name the same file {path}")
+        seen[real] = flag
+
+
+def _write_manifest(path, command: str, source, params: dict, **extra) -> None:
+    """Build and write ``command``'s manifest through the dataio names bound in
+    this module, which the traced benchmark replaces with span recorders."""
+    manifest = build_manifest(
+        command=command,
+        version=__version__,
+        inputs={os.path.basename(source): sha256_file(source)},
+        params=params,
+        **extra,
+    )
+    write_manifest(path, manifest)
 
 
 def _check_out_dir(path) -> None:
@@ -194,6 +220,12 @@ def cmd_screen(parser: _Parser, args) -> int:
         parser.error(f"--{exc}")
 
     manifest_path = args.manifest or args.out + ".manifest.json"
+    _check_distinct(
+        parser,
+        ("--input", args.input),
+        ("--out", args.out),
+        ("--manifest" if args.manifest else "--out", manifest_path),
+    )
     _check_output(args.out)
     _check_output(manifest_path)
     data = read_dataset(args.input)
@@ -212,20 +244,15 @@ def cmd_screen(parser: _Parser, args) -> int:
         result = rank_utilities(omega, data.n, args.dn)
     write_ranking(args.out, result)
 
-    manifest = build_manifest(
-        command="screen",
-        version=__version__,
-        inputs={os.path.basename(args.input): sha256_file(args.input)},
-        params={
-            "method": args.method,
-            "kernel": {"family": args.kernel, "gamma": args.gamma},
-            "d_n": result.d_n,
-            "n": data.n,
-            "p": data.p,
-            "standardize_covariates": bool(args.standardize_covariates),
-        },
-    )
-    write_manifest(manifest_path, manifest)
+    params = {
+        "method": args.method,
+        "kernel": {"family": args.kernel, "gamma": args.gamma},
+        "d_n": result.d_n,
+        "n": data.n,
+        "p": data.p,
+        "standardize_covariates": bool(args.standardize_covariates),
+    }
+    _write_manifest(manifest_path, "screen", args.input, params)
     return 0
 
 
@@ -263,29 +290,19 @@ def cmd_simulate(parser: _Parser, args) -> int:
                 generate(scenario, r).dataset,
             )
 
-    manifest = build_manifest(
-        command="simulate",
-        version=__version__,
-        inputs={os.path.basename(args.scenario): sha256_file(args.scenario)},
-        params={
-            "scenario_id": scenario.default_id,
-            "model": scenario.model,
-            "n": scenario.n,
-            "p": scenario.p,
-            "censoring": scenario.censoring,
-            "target_cr": scenario.target_cr,
-            "rho": scenario.rho,
-            "seed": scenario.seed,
-            "replications": replications,
-            "method": args.method,
-            "censoring_scale": scale,
-            "realized_cr_mean": float(np.mean([r.realized_cr for r in records])),
-            "d_n": summary.d_n,
-        },
-        rng_stream=RNG_STREAM_ID,
-        quantile_convention=QUANTILE_CONVENTION,
+    params = dict(
+        dataclasses.asdict(scenario),
+        scenario_id=scenario.default_id,
+        replications=replications,
+        method=args.method,
+        censoring_scale=scale,
+        realized_cr_mean=float(np.mean([r.realized_cr for r in records])),
+        d_n=summary.d_n,
     )
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)
+    _write_manifest(
+        os.path.join(args.out_dir, "manifest.json"), "simulate", args.scenario, params,
+        rng_stream=RNG_STREAM_ID, quantile_convention=QUANTILE_CONVENTION,
+    )
     return 0
 
 
@@ -293,8 +310,12 @@ def cmd_evaluate(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
 
+    manifest_path = args.out + ".manifest.json"
+    _check_distinct(
+        parser, ("--records", args.records), ("--out", args.out), ("--out", manifest_path)
+    )
     _check_output(args.out)
-    _check_output(args.out + ".manifest.json")
+    _check_output(manifest_path)
     records, active_set = read_records(args.records)
     if not records:
         raise ValidationError("records file has no data rows")
@@ -308,17 +329,10 @@ def cmd_evaluate(parser: _Parser, args) -> int:
         summaries.append(summarize_records(group, active_set, d_n))
     write_summary(args.out, summaries, active_set)
 
-    manifest = build_manifest(
-        command="evaluate",
-        version=__version__,
-        inputs={os.path.basename(args.records): sha256_file(args.records)},
-        params={
-            "dn": args.dn,
-            "scenarios": {s.scenario_id: s.d_n for s in summaries},
-        },
-        quantile_convention=QUANTILE_CONVENTION,
+    params = {"dn": args.dn, "scenarios": {s.scenario_id: s.d_n for s in summaries}}
+    _write_manifest(
+        manifest_path, "evaluate", args.records, params, quantile_convention=QUANTILE_CONVENTION
     )
-    write_manifest(args.out + ".manifest.json", manifest)
     return 0
 
 

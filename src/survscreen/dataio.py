@@ -23,10 +23,11 @@ recording versions, input digests, parameters, and seeds.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -58,6 +59,13 @@ def _read_lines(path) -> list[str]:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by a bare LF: every file this module writes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def _finite_float(token: str, line: int, column: int, what: str) -> float:
     try:
         value = float(token)
@@ -74,11 +82,10 @@ def _finite_float(token: str, line: int, column: int, what: str) -> float:
 
 def write_dataset(path, dataset: SurvivalDataset) -> None:
     """Write a dataset in the ``time,status,z1,...,zp`` format."""
+    header = "time,status," + ",".join(f"z{j + 1}" for j in range(dataset.p))
     rows = zip(dataset.times.tolist(), dataset.status.tolist(), dataset.covariates)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,status," + ",".join(f"z{j + 1}" for j in range(dataset.p)) + "\n")
-        for t, d, z in rows:
-            fh.write(f"{t!r},{d}," + ",".join(map(repr, z.tolist())) + "\n")
+    body = (f"{t!r},{d}," + ",".join(map(repr, z.tolist())) for t, d, z in rows)
+    _write_lines(path, itertools.chain([header], body))
 
 
 def read_dataset(path) -> SurvivalDataset:
@@ -218,16 +225,13 @@ def read_scenario(path) -> ScenarioConfig:
 
 
 def write_scenario(path, config: ScenarioConfig) -> None:
-    sc = config.scenario
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"model = {sc.model}\n")
-        fh.write(f"n = {sc.n}\n")
-        fh.write(f"p = {sc.p}\n")
-        fh.write(f"censoring = {sc.censoring}\n")
-        fh.write(f"target_cr = {float_repr(sc.target_cr)}\n")
-        fh.write(f"rho = {float_repr(sc.rho)}\n")
-        fh.write(f"seed = {sc.seed}\n")
-        fh.write(f"replications = {config.replications}\n")
+    """Write ``config`` in the order of ``_SCENARIO_KEYS``, which ``read_scenario`` parses."""
+    values = dict(asdict(config.scenario), replications=config.replications)
+    lines = (
+        f"{key} = {float_repr(values[key]) if kind is float else values[key]}"
+        for key, kind in _SCENARIO_KEYS.items()
+    )
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +241,11 @@ def write_scenario(path, config: ScenarioConfig) -> None:
 def write_ranking(path, result: ScreenResult) -> None:
     """Write a screening result as (covariate, utility, rank, selected)."""
     selected = set(int(k) for k in result.selected)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("covariate,utility,rank,selected\n")
-        for position, k in enumerate(result.ranking, start=1):
-            k = int(k)
-            fh.write(
-                f"z{k + 1},{float_repr(result.omega[k])},{position},"
-                f"{1 if k in selected else 0}\n"
-            )
+    rows = (
+        f"z{k + 1},{float_repr(result.omega[k])},{position},{1 if k in selected else 0}"
+        for position, k in enumerate(map(int, result.ranking), start=1)
+    )
+    _write_lines(path, itertools.chain(["covariate,utility,rank,selected"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +255,13 @@ def write_ranking(path, result: ScreenResult) -> None:
 def write_records(path, records: list[ReplicationRecord], active_set) -> None:
     """Write one CSV row per replication, rank columns per active covariate."""
     active = [int(k) for k in active_set]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "scenario_id,rep,n,p,s,realized_cr,"
-            + ",".join(f"rank_z{k + 1}" for k in active)
-            + "\n"
-        )
-        for r in records:
-            fh.write(
-                f"{r.scenario_id},{r.replication},{r.n},{r.p},{r.s},"
-                f"{float_repr(r.realized_cr)},"
-                + ",".join(str(r.active_ranks[k]) for k in active)
-                + "\n"
-            )
+    header = "scenario_id,rep,n,p,s,realized_cr," + ",".join(f"rank_z{k + 1}" for k in active)
+    rows = (
+        f"{r.scenario_id},{r.replication},{r.n},{r.p},{r.s},{float_repr(r.realized_cr)},"
+        + ",".join(str(r.active_ranks[k]) for k in active)
+        for r in records
+    )
+    _write_lines(path, itertools.chain([header], rows))
 
 
 def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
@@ -307,18 +302,37 @@ def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
             k: _int(fields[6 + i], line_no, 7 + i, f"rank_z{k + 1}")
             for i, k in enumerate(active)
         }
-        records.append(
-            ReplicationRecord(
-                scenario_id=fields[0],
-                replication=_int(fields[1], line_no, 2, "rep"),
-                n=_int(fields[2], line_no, 3, "n"),
-                p=_int(fields[3], line_no, 4, "p"),
-                s=_int(fields[4], line_no, 5, "s"),
-                realized_cr=_finite_float(fields[5], line_no, 6, "realized_cr"),
-                active_ranks=ranks,
-            )
+        record = ReplicationRecord(
+            scenario_id=fields[0],
+            replication=_int(fields[1], line_no, 2, "rep"),
+            n=_int(fields[2], line_no, 3, "n"),
+            p=_int(fields[3], line_no, 4, "p"),
+            s=_int(fields[4], line_no, 5, "s"),
+            realized_cr=_finite_float(fields[5], line_no, 6, "realized_cr"),
+            active_ranks=ranks,
         )
+        _check_record(record, line_no)
+        records.append(record)
     return records, tuple(active)
+
+
+def _check_record(record: ReplicationRecord, line_no: int) -> None:
+    """Reject a record no screening run could have written: n below the
+    cutoff rule's minimum of 3, a rank outside 1..p, or an S that is not
+    the largest active rank."""
+    if record.n < 3:
+        raise ValidationError(f"line {line_no}, column 3: n must be at least 3, got {record.n}")
+    for i, (k, rank) in enumerate(record.active_ranks.items()):
+        if not 1 <= rank <= record.p:
+            raise ValidationError(
+                f"line {line_no}, column {7 + i}: rank_z{k + 1} must lie in 1..{record.p}, "
+                f"got {rank}"
+            )
+    largest = max(record.active_ranks.values())
+    if record.s != largest:
+        raise ValidationError(
+            f"line {line_no}, column 5: s must equal the largest rank, {largest}, got {record.s}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +342,16 @@ def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
 def write_summary(path, summaries: list[EvalSummary], active_set) -> None:
     """Write one summary row per scenario, pe columns per active covariate."""
     active = [int(k) for k in active_set]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "scenario_id,replications,d_n,s_median,s_iqr,"
-            + ",".join(f"pe_z{k + 1}" for k in active)
-            + ",p_a\n"
-        )
-        for s in summaries:
-            fh.write(
-                f"{s.scenario_id},{s.replications},{s.d_n},"
-                f"{float_repr(s.s_median)},{float_repr(s.s_iqr)},"
-                + ",".join(float_repr(s.pe[k]) for k in active)
-                + f",{float_repr(s.p_a)}\n"
-            )
+    pe_columns = ",".join(f"pe_z{k + 1}" for k in active)
+    header = f"scenario_id,replications,d_n,s_median,s_iqr,{pe_columns},p_a"
+    rows = (
+        f"{s.scenario_id},{s.replications},{s.d_n},"
+        f"{float_repr(s.s_median)},{float_repr(s.s_iqr)},"
+        + ",".join(float_repr(s.pe[k]) for k in active)
+        + f",{float_repr(s.p_a)}"
+        for s in summaries
+    )
+    _write_lines(path, itertools.chain([header], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +390,4 @@ def build_manifest(
 
 
 def write_manifest(path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True)])

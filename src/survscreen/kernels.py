@@ -207,8 +207,6 @@ def hsic_pair(
     v,
     spec_u: KernelSpec = GAUSSIAN_DEFAULT,
     spec_v: KernelSpec = GAUSSIAN_DEFAULT,
-    *,
-    clamp: bool = True,
 ) -> float:
     """Empirical HSIC between two aligned samples.
 
@@ -218,4 +216,4 @@ def hsic_pair(
     pv = _as_points(v)
     if pu.shape[0] != pv.shape[0]:
         raise ValueError(f"sample sizes differ: {pu.shape[0]} vs {pv.shape[0]}")
-    return hsic(gram(pu, spec_u), center(gram(pv, spec_v)), clamp=clamp)
+    return hsic(gram(pu, spec_u), center(gram(pv, spec_v)))

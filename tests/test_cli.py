@@ -413,6 +413,20 @@ class TestTopLevel:
         spec.loader.exec_module(child)
         assert [name for name in child.CLI_CALLS if not callable(getattr(cli, name, None))] == []
 
+    def test_runtime_imports_only_the_stdlib_and_numpy(self):
+        # Compared with the modules loaded before the import, because a site
+        # hook (a .pth file) may load third-party modules at interpreter start.
+        code = (
+            "import sys\n"
+            "before = {name.split('.')[0] for name in sys.modules}\n"
+            "import survscreen.cli\n"
+            "new = {name.split('.')[0] for name in sys.modules} - before\n"
+            "print(*sorted(new - set(sys.stdlib_module_names)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) <= {"numpy", "survscreen"}
+
     def test_help_exits_0(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
@@ -435,16 +449,26 @@ def _error_fixtures(tmp_path):
     (tmp_path / "bad.cfg").write_text("model = cox\nn = 50\n")
     (tmp_path / "ff.cfg").write_bytes(b"model = cox\nn = 50\np = 15\n# \xff\n")
     header = "scenario_id,rep,n,p,s,realized_cr,rank_z1\n"
-    (tmp_path / "rec.csv").write_text(header + "x,0,50,15,3,0.2,1\n")
+    (tmp_path / "rec.csv").write_text(header + "x,0,50,15,1,0.2,1\n")
+    (tmp_path / "rec_n2.csv").write_text(header + "x,0,2,15,1,0.2,1\n")
+    (tmp_path / "rec_rank_negative.csv").write_text(header + "x,0,50,15,1,0.2,-5\n")
+    (tmp_path / "rec_s_not_largest.csv").write_text(
+        "scenario_id,rep,n,p,s,realized_cr,rank_z1,rank_z2\nx,0,50,15,1,0.2,1,6\n"
+    )
     (tmp_path / "norows.csv").write_text(header)
     (tmp_path / "badrec.csv").write_text("who,knows\n1,2\n")
-    (tmp_path / "ff_rec.csv").write_bytes(header.encode() + b"x,0,50,15,3,0.2,1\xff\n")
+    (tmp_path / "ff_rec.csv").write_bytes(header.encode() + b"x,0,50,15,1,0.2,1\xff\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("")
 
 
-# (argv, extra environment, exit code, file the message must name); {t} is
-# the test's tmp_path. Outputs go to o.csv, o.csv.manifest.json or the run/
+def _snapshot(root):
+    """Every path under ``root`` with its bytes, so a created or rewritten file shows."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+# (argv, extra environment, exit code, file or flags the message must name);
+# {t} is the test's tmp_path. Outputs go to o.csv, o.csv.manifest.json or the run/
 # directory unless the case is about where they go.
 CLI_ERRORS = {
     "screen_missing_input": ("screen --input {t}/gone.csv --out {t}/o.csv", {}, 2, "gone.csv"),
@@ -471,6 +495,10 @@ CLI_ERRORS = {
     "screen_linear_inf_gamma": (
         "screen --input {t}/d.csv --out {t}/o.csv --kernel linear --gamma inf", {}, 4, None
     ),
+    "screen_manifest_is_out": (
+        "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/o.csv", {}, 4, "--out and --manifest"
+    ),
+    "screen_out_is_input": ("screen --input {t}/d.csv --out {t}/d.csv", {}, 4, "--input and --out"),
     "screen_unknown_flag": ("screen --input {t}/d.csv --out {t}/o.csv --wat", {}, 4, None),
     "simulate_incomplete_scenario": ("simulate --scenario {t}/bad.cfg --out-dir {t}/run", {}, 2, None),
     "simulate_scenario_is_directory": ("simulate --scenario {t}/adir --out-dir {t}/run", {}, 2, "adir"),
@@ -491,6 +519,18 @@ CLI_ERRORS = {
     "evaluate_records_not_utf8": (
         "evaluate --records {t}/ff_rec.csv --out {t}/o.csv", {}, 2, "ff_rec.csv"
     ),
+    "evaluate_records_n_below_3": (
+        "evaluate --records {t}/rec_n2.csv --out {t}/o.csv", {}, 2, "line 2, column 3"
+    ),
+    "evaluate_records_rank_out_of_range": (
+        "evaluate --records {t}/rec_rank_negative.csv --out {t}/o.csv", {}, 2, "line 2, column 7"
+    ),
+    "evaluate_records_s_not_largest_rank": (
+        "evaluate --records {t}/rec_s_not_largest.csv --out {t}/o.csv", {}, 2, "line 2, column 5"
+    ),
+    "evaluate_out_is_records": (
+        "evaluate --records {t}/rec.csv --out {t}/rec.csv", {}, 4, "--records and --out"
+    ),
     "evaluate_out_is_directory": ("evaluate --records {t}/rec.csv --out {t}/adir", {}, 2, "adir"),
     "evaluate_out_in_missing_directory": (
         "evaluate --records {t}/rec.csv --out {t}/nodir/o.csv", {}, 2, "nodir/o.csv"
@@ -504,7 +544,7 @@ CLI_ERRORS = {
 def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
     argv, env, code, named = CLI_ERRORS[case]
     _error_fixtures(tmp_path)
-    before = sorted(tmp_path.rglob("*"))
+    before = _snapshot(tmp_path)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     try:
@@ -517,7 +557,7 @@ def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, caps
     errors = [line for line in stderr.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("survscreen: error: "), stderr
     assert named is None or named in errors[0]
-    assert sorted(tmp_path.rglob("*")) == before
+    assert _snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("out_dir", ["afile", "afile/run", "afile/run/deeper"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,24 @@ class TestScenarioFile:
         write_scenario(path, config)
         assert read_scenario(path) == config
 
+    def test_write_bytes(self, tmp_path):
+        config = ScenarioConfig(
+            scenario=SimScenario("nonlinear", 80, 60, "informative", 0.35, seed=3),
+            replications=12,
+        )
+        path = tmp_path / "s.cfg"
+        write_scenario(path, config)
+        assert path.read_bytes() == (
+            b"model = nonlinear\n"
+            b"n = 80\n"
+            b"p = 60\n"
+            b"censoring = informative\n"
+            b"target_cr = 0.35\n"
+            b"rho = 0.8\n"
+            b"seed = 3\n"
+            b"replications = 12\n"
+        )
+
 
 class TestRankingFile:
     def test_sorted_by_rank_with_selected_flags(self, tmp_path):
@@ -405,6 +424,22 @@ class TestRecordsFile:
             "scenario_id,rep,n,p,s,realized_cr,rank_z1\nx,0,5,2,1,0.2,first\n"
         )
         with pytest.raises(ParseError, match="not an integer"):
+            read_records(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0,2,15,2,0.2,1,2", "line 2, column 3: n must be at least 3, got 2"),
+            ("x,0,50,15,2,0.2,2,0", "line 2, column 8: rank_z5 must lie in 1..15, got 0"),
+            ("x,0,50,15,16,0.2,1,16", "line 2, column 8: rank_z5 must lie in 1..15, got 16"),
+            ("x,0,50,15,1,0.2,1,6", "line 2, column 5: s must equal the largest rank, 6, got 1"),
+        ],
+        ids=["n_below_3", "rank_zero", "rank_above_p", "s_not_largest_rank"],
+    )
+    def test_row_no_screening_run_writes(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"scenario_id,rep,n,p,s,realized_cr,rank_z1,rank_z5\n{row}\n")
+        with pytest.raises(ValidationError, match=re.escape(message)):
             read_records(path)
 
     def test_ragged_row(self, tmp_path):
