@@ -13,13 +13,19 @@ Exit codes: 0 success, 2 parse or validation failure or a file that
 cannot be read or written, 3 degenerate data, 4 bad flags, 5 censoring
 calibration failure. ``screen`` and ``evaluate`` check that their output
 paths can be written, and name neither the input nor each other (exit 4),
-before they read anything, and ``simulate`` creates
---out-dir only once its run has succeeded, so a failed run leaves no
-partial output.
+before they read anything. ``simulate`` refuses a --scenario that lies
+where it would write (exit 4) before any work, and creates --out-dir
+only once its run has succeeded, so a failed run leaves no partial
+output.
 
-The default for --jobs is the SURVSCREEN_JOBS environment variable when
-set, otherwise the number of logical cores. Replication streams are
-fixed by (seed, replication index), so --jobs never changes output bytes.
+--jobs sets the number of forked worker processes: ``screen`` scores
+column chunks in them and ``simulate`` runs replications in them (each
+replication screening in one process). At most one worker starts per
+task, and where the platform cannot fork the work runs serially. The
+default is the SURVSCREEN_JOBS environment variable when set, otherwise
+the number of logical cores. Replication streams are fixed by (seed,
+replication index) and chunk results land at fixed positions, so --jobs
+never changes output bytes.
 """
 
 from __future__ import annotations
@@ -87,6 +93,17 @@ def _default_jobs() -> int:
     return jobs
 
 
+def _jobs(parser: _Parser, args) -> int:
+    """--jobs, or its default; exit 4 on a value below 1 or a bad $SURVSCREEN_JOBS."""
+    try:
+        jobs = _default_jobs() if args.jobs is None else args.jobs
+    except ValueError as exc:
+        parser.error(str(exc))
+    if jobs < 1:
+        parser.error(f"--jobs must be a positive integer, got {jobs}")
+    return jobs
+
+
 def _check_output(path) -> None:
     """Raise the OSError that writing ``path`` would raise, so a run fails before it writes."""
     if os.path.isdir(path):
@@ -131,6 +148,14 @@ def _check_out_dir(path) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
+def _add_jobs(parser: argparse.ArgumentParser, work: str) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help=f"forked worker processes to {work}, at most one per task "
+        f"(default ${JOBS_ENV_VAR} or logical cores)",
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="survscreen",
@@ -167,6 +192,7 @@ def build_parser() -> _Parser:
     p_screen.add_argument(
         "--manifest", default=None, help="manifest path (default <out>.manifest.json)"
     )
+    _add_jobs(p_screen, "score column chunks in")
     p_screen.set_defaults(func=cmd_screen)
 
     p_sim = sub.add_parser(
@@ -181,10 +207,7 @@ def build_parser() -> _Parser:
         "--replications", type=int, default=None,
         help="override the scenario file's replication count",
     )
-    p_sim.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"worker threads (default ${JOBS_ENV_VAR} or logical cores)",
-    )
+    _add_jobs(p_sim, "run replications in")
     p_sim.add_argument(
         "--method", choices=METHODS, default="hsic", help="screening utility"
     )
@@ -214,6 +237,7 @@ def build_parser() -> _Parser:
 def cmd_screen(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
+    jobs = _jobs(parser, args)
     try:
         spec = KernelSpec(family=args.kernel, gamma=args.gamma)
     except ValueError as exc:
@@ -238,9 +262,10 @@ def cmd_screen(parser: _Parser, args) -> int:
             spec_y=spec,
             d_n=args.dn,
             standardize_covariates=args.standardize_covariates,
+            jobs=jobs,
         )
     else:
-        omega = dc_utility(data, standardize_covariates=args.standardize_covariates)
+        omega = dc_utility(data, standardize_covariates=args.standardize_covariates, jobs=jobs)
         result = rank_utilities(omega, data.n, args.dn)
     write_ranking(args.out, result)
 
@@ -257,12 +282,7 @@ def cmd_screen(parser: _Parser, args) -> int:
 
 
 def cmd_simulate(parser: _Parser, args) -> int:
-    try:
-        jobs = _default_jobs() if args.jobs is None else args.jobs
-    except ValueError as exc:
-        parser.error(str(exc))
-    if jobs < 1:
-        parser.error(f"--jobs must be a positive integer, got {jobs}")
+    jobs = _jobs(parser, args)
     if args.replications is not None and args.replications < 1:
         parser.error(f"--replications must be positive, got {args.replications}")
 
@@ -271,6 +291,14 @@ def cmd_simulate(parser: _Parser, args) -> int:
     replications = (
         config.replications if args.replications is None else args.replications
     )
+    records_path = os.path.join(args.out_dir, "records.csv")
+    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    ds_dir = os.path.join(args.out_dir, "datasets")
+    dataset_paths = [os.path.join(ds_dir, f"rep{r:05d}.csv") for r in range(replications)]
+    outputs = [records_path, manifest_path] + (dataset_paths if args.write_datasets else [])
+    _check_distinct(
+        parser, ("--scenario", args.scenario), *[("--out-dir", path) for path in outputs]
+    )
     _check_out_dir(args.out_dir)
 
     scale = censoring_scale(scenario)
@@ -278,17 +306,12 @@ def cmd_simulate(parser: _Parser, args) -> int:
         scenario, method=args.method, replications=replications, parallelism=jobs
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    records_path = os.path.join(args.out_dir, "records.csv")
     write_records(records_path, records, scenario.active_set)
 
     if args.write_datasets:
-        ds_dir = os.path.join(args.out_dir, "datasets")
         os.makedirs(ds_dir, exist_ok=True)
-        for r in range(replications):
-            write_dataset(
-                os.path.join(ds_dir, f"rep{r:05d}.csv"),
-                generate(scenario, r).dataset,
-            )
+        for r, path in enumerate(dataset_paths):
+            write_dataset(path, generate(scenario, r).dataset)
 
     params = dict(
         dataclasses.asdict(scenario),
@@ -300,7 +323,7 @@ def cmd_simulate(parser: _Parser, args) -> int:
         d_n=summary.d_n,
     )
     _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"), "simulate", args.scenario, params,
+        manifest_path, "simulate", args.scenario, params,
         rng_stream=RNG_STREAM_ID, quantile_convention=QUANTILE_CONVENTION,
     )
     return 0

@@ -318,16 +318,21 @@ def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
 
 def _check_record(record: ReplicationRecord, line_no: int) -> None:
     """Reject a record no screening run could have written: n below the
-    cutoff rule's minimum of 3, a rank outside 1..p, or an S that is not
-    the largest active rank."""
+    cutoff rule's minimum of 3, a rank of a covariate beyond p, a rank
+    outside 1..p, two covariates at one rank, or an S that is not the
+    largest active rank."""
     if record.n < 3:
         raise ValidationError(f"line {line_no}, column 3: n must be at least 3, got {record.n}")
+    holders: dict[int, int] = {}
     for i, (k, rank) in enumerate(record.active_ranks.items()):
+        where = f"line {line_no}, column {7 + i}: rank_z{k + 1}"
+        if k >= record.p:
+            raise ValidationError(f"{where} names a covariate beyond p = {record.p}")
         if not 1 <= rank <= record.p:
-            raise ValidationError(
-                f"line {line_no}, column {7 + i}: rank_z{k + 1} must lie in 1..{record.p}, "
-                f"got {rank}"
-            )
+            raise ValidationError(f"{where} must lie in 1..{record.p}, got {rank}")
+        if rank in holders:
+            raise ValidationError(f"{where} repeats rank {rank} of rank_z{holders[rank] + 1}")
+        holders[rank] = k
     largest = max(record.active_ranks.values())
     if record.s != largest:
         raise ValidationError(

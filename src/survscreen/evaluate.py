@@ -18,13 +18,13 @@ range (linear-interpolation quantiles, the numpy default).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .screening import dc_utility, default_cutoff, rank_utilities, screen
-from .simulate import SimScenario, generate
+from .simulate import SimScenario, censoring_scale, generate
+from .workers import fork_map
 
 METHODS = ("hsic", "dc")
 
@@ -154,7 +154,11 @@ def run_experiment(
     """Run a replicated screening experiment and summarize it at ``default_cutoff(n)``.
 
     Replication r is generated from its own RNG stream, so the records do
-    not depend on ``parallelism``; workers only change wall time. Records
+    not depend on ``parallelism``; workers only change wall time. With
+    ``parallelism`` above 1, replications run in that many forked worker
+    processes, at most one per replication (serially where the platform
+    cannot fork), and each screens with one process. The scenario is
+    calibrated here first, so the workers inherit the cached scale. Records
     are returned in replication order. When a replication raises, the error
     propagates and replications not yet started are cancelled. For other
     cutoffs, pass the records to ``summarize_records``.
@@ -166,7 +170,8 @@ def run_experiment(
     if parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        records = list(pool.map(lambda r: _screen_one(scenario, r, method), range(replications)))
+    censoring_scale(scenario)
+    tasks = [(scenario, r, method) for r in range(replications)]
+    records = fork_map(_screen_one, tasks, parallelism)
     summary = summarize_records(records, scenario.active_set, default_cutoff(scenario.n))
     return records, summary

@@ -15,6 +15,11 @@ class ParseError(ValueError):
         self.reason = reason
         super().__init__(f"line {line}, column {column}: {reason}")
 
+    def __reduce__(self):
+        # BaseException pickles its message alone, which __init__ cannot take;
+        # an error raised in a worker process crosses back by pickle.
+        return type(self), (self.line, self.column, self.reason)
+
 
 class ValidationError(ValueError):
     """Parsed input violates a dataset invariant or a size limit."""

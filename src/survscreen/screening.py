@@ -16,10 +16,11 @@ import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
+from .workers import fork_map
 
 #: Columns scored per chunk. No value depends on it; 256 keeps an (n, 256)
 #: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
-#: offset makes over it. A constant, not tuned to the machine or threads.
+#: offset makes over it. A constant, not tuned to the machine or to jobs.
 CHUNK_COLUMNS = 256
 
 
@@ -149,6 +150,7 @@ def screen(
     d_n: int | None = None,
     *,
     standardize_covariates: bool = False,
+    jobs: int = 1,
 ) -> ScreenResult:
     """Rank covariates by HSIC against the standardized censored response.
 
@@ -162,6 +164,8 @@ def screen(
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
     column, whatever the other columns are; results land at fixed
     positions, so any split over columns reproduces the serial output.
+    ``jobs`` above 1 scores the chunks in that many forked worker
+    processes (see ``workers.fork_map``), with the same bits.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
     W = _upper_weights(center(gram(y, spec_y)))
@@ -171,7 +175,7 @@ def screen(
         value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
         return np.where(value < 0.0, 0.0, value)
 
-    omega = _score_chunks(Z, score)
+    omega = _score_chunks(Z, score, jobs)
     return rank_utilities(omega, data.n, d_n)
 
 
@@ -183,8 +187,9 @@ def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool
     return (standardize_columns(data.covariates) if standardize_covariates else data.covariates), y
 
 
-def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
-    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``.
+def _score_chunks(Z: np.ndarray, score, jobs: int) -> np.ndarray:
+    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``,
+    in up to ``jobs`` worker processes.
 
     ``score`` gets each chunk copied into a C-contiguous (n, w) array and
     returns w values. A lone column is padded with a zero column, because
@@ -192,13 +197,14 @@ def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
     order. ``Z`` is only read.
     """
     n, p = Z.shape
-    values = np.empty(p)
-    for start in range(0, p, CHUNK_COLUMNS):
-        width = min(CHUNK_COLUMNS, p - start)
+
+    def chunk(start: int, width: int) -> np.ndarray:
         z = np.zeros((n, max(2, width)))
         z[:, :width] = Z[:, start : start + width]
-        values[start : start + width] = score(z)[:width]
-    return values
+        return score(z)[:width]
+
+    spans = [(start, min(CHUNK_COLUMNS, p - start)) for start in range(0, p, CHUNK_COLUMNS)]
+    return np.concatenate(fork_map(chunk, spans, jobs))
 
 
 def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:
@@ -221,7 +227,9 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
     )
 
 
-def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -> np.ndarray:
+def dc_utility(
+    data: SurvivalDataset, *, standardize_covariates: bool = False, jobs: int = 1
+) -> np.ndarray:
     """Distance correlation of each covariate with the standardized response.
 
     Biased V-statistic estimator (Szekely, Rizzo & Bakirov 2007). With
@@ -233,7 +241,8 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     + g^2, where mean(A^2) = 2 var(z) (ddof=0), and m comes from one sort
     and one cumulative sum of the centred column, O(n log n) per column.
     Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1];
-    covariates with zero distance variance score 0.
+    covariates with zero distance variance score 0. ``jobs`` is as in
+    ``screen``.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
     n = data.n
@@ -256,4 +265,4 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
             r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
         return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
 
-    return _score_chunks(Z, score)
+    return _score_chunks(Z, score, jobs)

@@ -24,6 +24,7 @@ independent, so any subset of replications can be regenerated alone.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 from dataclasses import dataclass
 
@@ -319,8 +320,21 @@ def calibrate_censoring(
     )
 
 
+#: Calibrated scales by scenario family, filled under ``_scale_lock``, which
+#: each forked child replaces with a fresh lock.
 _scale_cache: dict[tuple, float] = {}
 _scale_lock = threading.Lock()
+
+
+def _renew_scale_lock() -> None:
+    """A forked child gets a fresh lock: a thread of the parent may have held
+    the inherited one at the fork, and no thread in the child would free it."""
+    global _scale_lock
+    _scale_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_scale_lock)
 
 
 def censoring_scale(scenario: SimScenario) -> float:
@@ -330,6 +344,8 @@ def censoring_scale(scenario: SimScenario) -> float:
     seed deliberately plays no role, so every replication of a scenario
     family shares one calibration. Calibration runs under the cache lock, so
     threads that ask for a cold scenario at once wait for one calibration.
+    The cache is per process: worker processes forked after a call inherit
+    its entries, and a calibration in one worker is not seen by the others.
     """
     key = (scenario.model, scenario.p, scenario.censoring, scenario.target_cr, scenario.rho)
     with _scale_lock:

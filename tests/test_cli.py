@@ -1,5 +1,8 @@
 import importlib.util
+import inspect
 import json
+import multiprocessing
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,15 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survscreen import cli
+from survscreen import cli, evaluate, exceptions
 from survscreen.dataio import read_dataset, read_records, write_dataset
 from survscreen.evaluate import run_experiment
-from survscreen.exceptions import InfeasibleTargetError
+from survscreen.exceptions import DegenerateStatusError, InfeasibleTargetError, ParseError
 from survscreen.kernels import DEFAULT_MAX_SAMPLES
-from survscreen.screening import SurvivalDataset
+from survscreen.screening import CHUNK_COLUMNS, SurvivalDataset
 from survscreen.simulate import SimScenario, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+EXCEPTION_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(exceptions, inspect.isclass)
+    if cls.__module__ == exceptions.__name__
+]
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -154,17 +162,18 @@ class TestScreenCommand:
     @pytest.mark.parametrize("method", ["hsic", "dc"])
     def test_ranking_bytes_do_not_depend_on_blas_threads(self, tmp_path, method):
         data_path = tmp_path / "d.csv"
-        write_cox_dataset(data_path, n=200, p=12)
+        # 12 columns past one chunk, so --jobs 2 scores the columns in two workers
+        write_cox_dataset(data_path, n=200, p=CHUNK_COLUMNS + 12)
         written = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"r{threads}.csv"
+        for threads, jobs in (("1", "1"), ("2", "1"), ("1", "2")):
+            out = tmp_path / f"r{threads}_{jobs}.csv"
             proc = run_cli(
                 "screen", "--input", data_path, "--out", out, "--method", method,
-                env_extra={"OPENBLAS_NUM_THREADS": threads},
+                "--jobs", jobs, env_extra={"OPENBLAS_NUM_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
             written.append(out.read_bytes())
-        assert written[0] == written[1]
+        assert written[0] == written[1] == written[2]
 
     def test_hsic_above_sample_cap_exits_2_with_gram_size(self, tmp_path):
         n = DEFAULT_MAX_SAMPLES + 1
@@ -427,6 +436,18 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert set(proc.stdout.split()) <= {"numpy", "survscreen"}
 
+    def test_import_loads_no_process_pool(self):
+        # The pool's modules load only when a run asks for workers, so the
+        # start-up of every invocation does not pay for them.
+        code = (
+            "import sys\n"
+            "import survscreen.cli\n"
+            "print(*sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
     def test_help_exits_0(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
@@ -460,6 +481,9 @@ def _error_fixtures(tmp_path):
     (tmp_path / "ff_rec.csv").write_bytes(header.encode() + b"x,0,50,15,1,0.2,1\xff\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("")
+    (tmp_path / "prev" / "datasets").mkdir(parents=True)
+    write_scenario_file(tmp_path / "prev" / "records.csv")
+    write_scenario_file(tmp_path / "prev" / "datasets" / "rep00002.csv")
 
 
 def _snapshot(root):
@@ -500,6 +524,10 @@ CLI_ERRORS = {
     ),
     "screen_out_is_input": ("screen --input {t}/d.csv --out {t}/d.csv", {}, 4, "--input and --out"),
     "screen_unknown_flag": ("screen --input {t}/d.csv --out {t}/o.csv --wat", {}, 4, None),
+    "screen_jobs_zero": ("screen --input {t}/d.csv --out {t}/o.csv --jobs 0", {}, 4, None),
+    "screen_bad_jobs_env": (
+        "screen --input {t}/d.csv --out {t}/o.csv", {"SURVSCREEN_JOBS": "zero"}, 4, None
+    ),
     "simulate_incomplete_scenario": ("simulate --scenario {t}/bad.cfg --out-dir {t}/run", {}, 2, None),
     "simulate_scenario_is_directory": ("simulate --scenario {t}/adir --out-dir {t}/run", {}, 2, "adir"),
     "simulate_scenario_not_utf8": ("simulate --scenario {t}/ff.cfg --out-dir {t}/run", {}, 2, "ff.cfg"),
@@ -512,6 +540,14 @@ CLI_ERRORS = {
     ),
     "simulate_replications_zero": (
         "simulate --scenario {t}/s.cfg --out-dir {t}/run --replications 0", {}, 4, None
+    ),
+    "simulate_scenario_is_records": (
+        "simulate --scenario {t}/prev/records.csv --out-dir {t}/prev", {}, 4,
+        "--scenario and --out-dir",
+    ),
+    "simulate_scenario_is_a_dataset": (
+        "simulate --scenario {t}/prev/datasets/rep00002.csv --out-dir {t}/prev --write-datasets",
+        {}, 4, "--scenario and --out-dir",
     ),
     "evaluate_malformed_records": ("evaluate --records {t}/badrec.csv --out {t}/o.csv", {}, 2, None),
     "evaluate_records_without_rows": ("evaluate --records {t}/norows.csv --out {t}/o.csv", {}, 2, None),
@@ -584,3 +620,30 @@ def test_failed_calibration_exits_5_and_leaves_no_out_dir(tmp_path, monkeypatch,
     assert cli.main(argv + [str(tmp_path / "run"), "--jobs", "1"]) == 5
     assert capsys.readouterr().err.startswith("survscreen: error: no scale")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cls", EXCEPTION_CLASSES, ids=lambda cls: cls.__name__)
+def test_exception_round_trips_through_pickle(cls):
+    # An error raised in a worker process reaches the CLI by pickle.
+    exc = cls(1, 2, "m") if cls is ParseError else cls("m")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and str(back) == str(exc)
+
+
+def test_replication_failing_in_a_worker_exits_3_and_leaves_no_process(
+    tmp_path, monkeypatch, capsys
+):
+    message = "status has zero variance (all subjects censored)"
+
+    def all_censored(scenario, replication):
+        raise DegenerateStatusError(message)
+
+    write_scenario_file(tmp_path / "s.cfg")
+    monkeypatch.setattr(evaluate, "generate", all_censored)
+    argv = ["simulate", "--scenario", str(tmp_path / "s.cfg"), "--out-dir"]
+    assert cli.main(argv + [str(tmp_path / "run"), "--jobs", "2"]) == 3
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines() == [f"survscreen: error: {message}"]
+    assert not (tmp_path / "run").exists()
+    assert multiprocessing.active_children() == []

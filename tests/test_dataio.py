@@ -433,8 +433,13 @@ class TestRecordsFile:
             ("x,0,50,15,2,0.2,2,0", "line 2, column 8: rank_z5 must lie in 1..15, got 0"),
             ("x,0,50,15,16,0.2,1,16", "line 2, column 8: rank_z5 must lie in 1..15, got 16"),
             ("x,0,50,15,1,0.2,1,6", "line 2, column 5: s must equal the largest rank, 6, got 1"),
+            ("x,0,50,4,3,0.2,1,3", "line 2, column 8: rank_z5 names a covariate beyond p = 4"),
+            ("x,0,50,15,3,0.2,3,3", "line 2, column 8: rank_z5 repeats rank 3 of rank_z1"),
         ],
-        ids=["n_below_3", "rank_zero", "rank_above_p", "s_not_largest_rank"],
+        ids=[
+            "n_below_3", "rank_zero", "rank_above_p", "s_not_largest_rank",
+            "covariate_beyond_p", "duplicate_rank",
+        ],
     )
     def test_row_no_screening_run_writes(self, tmp_path, row, message):
         path = tmp_path / "r.csv"

@@ -17,6 +17,10 @@ from survscreen.screening import default_cutoff, screen
 from survscreen.simulate import SimScenario, generate
 
 
+class Boom(Exception):
+    """Raised by a replication; at module level so it pickles back from a worker."""
+
+
 def record(sid="s", rep=0, s=5, ranks=None, n=50, p=20, cr=0.2):
     return ReplicationRecord(
         scenario_id=sid,
@@ -211,15 +215,14 @@ class TestRunExperiment:
             run_experiment(sc, replications=1, parallelism=0)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_failing_replication_cancels_those_not_started(self, monkeypatch, parallelism):
-        class Boom(Exception):
-            pass
-
-        started = []
+    def test_failing_replication_cancels_those_not_started(
+        self, monkeypatch, tmp_path, parallelism
+    ):
         real_generate = evaluate.generate
 
         def generate_failing_first(scenario, replication):
-            started.append(replication)
+            # one marker file per start, so starts in worker processes count too
+            (tmp_path / f"started{replication}").touch()
             if replication == 0:
                 raise Boom
             time.sleep(0.01)
@@ -230,5 +233,5 @@ class TestRunExperiment:
             run_experiment(
                 SimScenario("cox", 30, 10, seed=4), replications=60, parallelism=parallelism
             )
-        # thread scheduling decides the exact count; without cancellation all 60 start
-        assert len(started) < 30
+        # scheduling decides the exact count; without cancellation all 60 start
+        assert len(list(tmp_path.iterdir())) < 30
