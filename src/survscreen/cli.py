@@ -9,23 +9,21 @@ Three subcommands:
   evaluate   aggregate a records CSV into the summary metrics at a
              chosen cutoff, without re-simulating.
 
-Exit codes: 0 success, 2 parse or validation failure or a file that
-cannot be read or written, 3 degenerate data, 4 bad flags, 5 censoring
-calibration failure. ``screen`` and ``evaluate`` check that their output
+Exit codes: 0 success, 2 parse or validation failure, a file that
+cannot be read or written, or a worker process that died, 3 degenerate
+data, 4 bad flags, 5 censoring calibration failure. ``screen`` and ``evaluate`` check that their output
 paths can be written, and name neither the input nor each other (exit 4),
 before they read anything. ``simulate`` refuses a --scenario that lies
 where it would write (exit 4) before any work, and creates --out-dir
 only once its run has succeeded, so a failed run leaves no partial
 output.
 
---jobs sets the number of forked worker processes: ``screen`` scores
-column chunks in them and ``simulate`` runs replications in them (each
-replication screening in one process). At most one worker starts per
-task, and where the platform cannot fork the work runs serially. The
-default is the SURVSCREEN_JOBS environment variable when set, otherwise
-the number of logical cores. Replication streams are fixed by (seed,
-replication index) and chunk results land at fixed positions, so --jobs
-never changes output bytes.
+``simulate --jobs`` sets the number of forked worker processes that run
+replications, at most one per replication; where the platform cannot
+fork they run serially. The default is the SURVSCREEN_JOBS environment
+variable when set, otherwise the number of logical cores. Replication
+streams are fixed by (seed, replication index), so --jobs never changes
+output bytes.
 """
 
 from __future__ import annotations
@@ -93,17 +91,6 @@ def _default_jobs() -> int:
     return jobs
 
 
-def _jobs(parser: _Parser, args) -> int:
-    """--jobs, or its default; exit 4 on a value below 1 or a bad $SURVSCREEN_JOBS."""
-    try:
-        jobs = _default_jobs() if args.jobs is None else args.jobs
-    except ValueError as exc:
-        parser.error(str(exc))
-    if jobs < 1:
-        parser.error(f"--jobs must be a positive integer, got {jobs}")
-    return jobs
-
-
 def _check_output(path) -> None:
     """Raise the OSError that writing ``path`` would raise, so a run fails before it writes."""
     if os.path.isdir(path):
@@ -148,14 +135,6 @@ def _check_out_dir(path) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
-def _add_jobs(parser: argparse.ArgumentParser, work: str) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"forked worker processes to {work}, at most one per task "
-        f"(default ${JOBS_ENV_VAR} or logical cores)",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="survscreen",
@@ -192,7 +171,6 @@ def build_parser() -> _Parser:
     p_screen.add_argument(
         "--manifest", default=None, help="manifest path (default <out>.manifest.json)"
     )
-    _add_jobs(p_screen, "score column chunks in")
     p_screen.set_defaults(func=cmd_screen)
 
     p_sim = sub.add_parser(
@@ -207,7 +185,11 @@ def build_parser() -> _Parser:
         "--replications", type=int, default=None,
         help="override the scenario file's replication count",
     )
-    _add_jobs(p_sim, "run replications in")
+    p_sim.add_argument(
+        "--jobs", type=int, default=None,
+        help="forked worker processes that run replications, at most one per "
+        f"replication (default ${JOBS_ENV_VAR} or logical cores)",
+    )
     p_sim.add_argument(
         "--method", choices=METHODS, default="hsic", help="screening utility"
     )
@@ -237,7 +219,6 @@ def build_parser() -> _Parser:
 def cmd_screen(parser: _Parser, args) -> int:
     if args.dn is not None and args.dn < 1:
         parser.error(f"--dn must be positive, got {args.dn}")
-    jobs = _jobs(parser, args)
     try:
         spec = KernelSpec(family=args.kernel, gamma=args.gamma)
     except ValueError as exc:
@@ -262,10 +243,9 @@ def cmd_screen(parser: _Parser, args) -> int:
             spec_y=spec,
             d_n=args.dn,
             standardize_covariates=args.standardize_covariates,
-            jobs=jobs,
         )
     else:
-        omega = dc_utility(data, standardize_covariates=args.standardize_covariates, jobs=jobs)
+        omega = dc_utility(data, standardize_covariates=args.standardize_covariates)
         result = rank_utilities(omega, data.n, args.dn)
     write_ranking(args.out, result)
 
@@ -282,7 +262,12 @@ def cmd_screen(parser: _Parser, args) -> int:
 
 
 def cmd_simulate(parser: _Parser, args) -> int:
-    jobs = _jobs(parser, args)
+    try:
+        jobs = _default_jobs() if args.jobs is None else args.jobs
+    except ValueError as exc:
+        parser.error(str(exc))
+    if jobs < 1:
+        parser.error(f"--jobs must be a positive integer, got {jobs}")
     if args.replications is not None and args.replications < 1:
         parser.error(f"--replications must be positive, got {args.replications}")
 

@@ -16,11 +16,10 @@ import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
-from .workers import fork_map
 
 #: Columns scored per chunk. No value depends on it; 256 keeps an (n, 256)
 #: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
-#: offset makes over it. A constant, not tuned to the machine or to jobs.
+#: offset makes over it. A constant, not tuned to the machine or threads.
 CHUNK_COLUMNS = 256
 
 
@@ -150,7 +149,6 @@ def screen(
     d_n: int | None = None,
     *,
     standardize_covariates: bool = False,
-    jobs: int = 1,
 ) -> ScreenResult:
     """Rank covariates by HSIC against the standardized censored response.
 
@@ -164,8 +162,6 @@ def screen(
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
     column, whatever the other columns are; results land at fixed
     positions, so any split over columns reproduces the serial output.
-    ``jobs`` above 1 scores the chunks in that many forked worker
-    processes (see ``workers.fork_map``), with the same bits.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
     W = _upper_weights(center(gram(y, spec_y)))
@@ -175,7 +171,7 @@ def screen(
         value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
         return np.where(value < 0.0, 0.0, value)
 
-    omega = _score_chunks(Z, score, jobs)
+    omega = _score_chunks(Z, score)
     return rank_utilities(omega, data.n, d_n)
 
 
@@ -187,9 +183,8 @@ def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool
     return (standardize_columns(data.covariates) if standardize_covariates else data.covariates), y
 
 
-def _score_chunks(Z: np.ndarray, score, jobs: int) -> np.ndarray:
-    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``,
-    in up to ``jobs`` worker processes.
+def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
+    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``.
 
     ``score`` gets each chunk copied into a C-contiguous (n, w) array and
     returns w values. A lone column is padded with a zero column, because
@@ -197,14 +192,13 @@ def _score_chunks(Z: np.ndarray, score, jobs: int) -> np.ndarray:
     order. ``Z`` is only read.
     """
     n, p = Z.shape
-
-    def chunk(start: int, width: int) -> np.ndarray:
+    values = np.empty(p)
+    for start in range(0, p, CHUNK_COLUMNS):
+        width = min(CHUNK_COLUMNS, p - start)
         z = np.zeros((n, max(2, width)))
         z[:, :width] = Z[:, start : start + width]
-        return score(z)[:width]
-
-    spans = [(start, min(CHUNK_COLUMNS, p - start)) for start in range(0, p, CHUNK_COLUMNS)]
-    return np.concatenate(fork_map(chunk, spans, jobs))
+        values[start : start + width] = score(z)[:width]
+    return values
 
 
 def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:
@@ -227,9 +221,7 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
     )
 
 
-def dc_utility(
-    data: SurvivalDataset, *, standardize_covariates: bool = False, jobs: int = 1
-) -> np.ndarray:
+def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -> np.ndarray:
     """Distance correlation of each covariate with the standardized response.
 
     Biased V-statistic estimator (Szekely, Rizzo & Bakirov 2007). With
@@ -241,8 +233,7 @@ def dc_utility(
     + g^2, where mean(A^2) = 2 var(z) (ddof=0), and m comes from one sort
     and one cumulative sum of the centred column, O(n log n) per column.
     Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1];
-    covariates with zero distance variance score 0. ``jobs`` is as in
-    ``screen``.
+    covariates with zero distance variance score 0.
     """
     Z, y = _covariates_and_response(data, standardize_covariates)
     n = data.n
@@ -265,4 +256,4 @@ def dc_utility(
             r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
         return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
 
-    return _score_chunks(Z, score, jobs)
+    return _score_chunks(Z, score)

@@ -1,10 +1,10 @@
 """An ordered map over forked worker processes, for the replications of
-``evaluate.run_experiment`` and the column chunks of one ``screening`` call.
+``evaluate.run_experiment``.
 
 The scorer makes many small numpy calls that hold the interpreter lock, so
 threads barely overlap them; processes do. Workers are forked so that they
-inherit the caller's memory: the function to apply (a closure over the
-data), the calibration cache and any patched name. Only task arguments and
+inherit the caller's memory: the function to apply, the calibration cache
+and any patched name. Only task arguments and
 results are pickled. The pool forks its workers before it starts its
 manager thread.
 """
@@ -33,20 +33,26 @@ def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
     ``fn`` reaches the workers by inheritance, so it may be a closure; each
     task tuple and each result must pickle. When a call raises, the first
     error in task order propagates and tasks not yet started are cancelled;
-    every worker has exited when this returns or raises. Runs in the caller
-    when that bound is 1 or the platform has no ``os.fork``.
+    every worker has exited when this returns or raises. A worker that ends
+    abruptly (killed by a signal or out of memory) raises ``OSError``. Runs
+    in the caller when that bound is 1 or the platform has no ``os.fork``.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
 
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_install,
-        initargs=(fn,),
-    ) as pool:
-        return list(pool.map(_call, tasks))
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install,
+            initargs=(fn,),
+        ) as pool:
+            return list(pool.map(_call, tasks))
+    except BrokenExecutor as exc:
+        raise OSError(
+            "a worker process ended abruptly (killed by a signal or out of memory)"
+        ) from exc

@@ -270,27 +270,24 @@ def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
     # is also scored at other widths and positions: in a full chunk of 256
     # and a short one after it, where an offset's slab outgrows numpy's
     # 8192-element reduction buffer; alone, padded to two; in reversed
-    # order; and in chunks of 3, which leave a lone last column. Chunks
-    # scored in two or three worker processes must land where serial ones do.
+    # order; and in chunks of 3, which leave a lone last column.
     data = make_dataset(np.random.default_rng(21), n=100, p=7)
     data.covariates[:, 5] = data.covariates[:, 1]
 
-    def utilities(Z, jobs=1):
+    def utilities(Z):
         sub = SurvivalDataset(times=data.times, status=data.status, covariates=Z)
         if method == "dc":
-            return dc_utility(sub, jobs=jobs)
+            return dc_utility(sub)
         spec = KernelSpec(method, 2.0)
-        return screen(sub, spec, spec, jobs=jobs).omega
+        return screen(sub, spec, spec).omega
 
     reference = utilities(data.covariates)
     assert reference[1] == reference[5]
     wide = np.repeat(data.covariates, 40, axis=1)  # a full chunk of 256 and a short one
     assert np.array_equal(utilities(wide), np.repeat(reference, 40))
-    assert np.array_equal(utilities(wide, jobs=2), np.repeat(reference, 40))
     for columns in (1, 3, data.p):
         monkeypatch.setattr(screening, "CHUNK_COLUMNS", columns)
         assert np.array_equal(utilities(data.covariates), reference)
-        assert np.array_equal(utilities(data.covariates, jobs=3), reference)
         assert np.array_equal(utilities(data.covariates[:, ::-1])[::-1], reference)
         for k in range(data.p):
             assert np.array_equal(utilities(data.covariates[:, [k]]), reference[[k]])
