@@ -10,10 +10,11 @@ Three subcommands:
              chosen cutoff, without re-simulating.
 
 Exit codes: 0 success, 2 parse or validation failure, a file that
-cannot be read or written, or a worker process that died, 3 degenerate
-data, 4 bad flags, 5 censoring calibration failure. ``screen`` and ``evaluate`` check that their output
-paths can be written, and name neither the input nor each other (exit 4),
-before they read anything. ``simulate`` refuses a --scenario that lies
+cannot be read or written, a worker process that died, or memory that
+ran out, 3 degenerate data, 4 bad flags, 5 censoring calibration failure.
+``screen`` and ``evaluate`` check that their output paths can be
+written, and name neither the input nor each other (exit 4), before they
+read anything. ``simulate`` refuses a --scenario that lies
 where it would write (exit 4) before any work, and creates --out-dir
 only once its run has succeeded, so a failed run leaves no partial
 output.
@@ -351,6 +352,9 @@ def main(argv=None) -> int:
         return args.func(parser, args)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"survscreen: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DegenerateDataError, OverflowError) as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)

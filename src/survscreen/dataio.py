@@ -18,6 +18,10 @@ memory. Reals are serialized with ``repr``, the shortest string that
 round-trips to the same double, so rewriting a parsed file reproduces it
 byte-for-byte. Every command output is paired with a JSON manifest
 recording versions, input digests, parameters, and seeds.
+
+Files are read as a stream of lines, split as ``str.splitlines`` splits
+the whole text, and hashed in 1 MiB reads: reading a dataset holds its
+n x (p+2) table and about ``BLOCK_CHARS`` of text, never the whole file.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from .screening import ScreenResult, SurvivalDataset
 from .simulate import SimScenario
 
 _RANK_COL = re.compile(r"rank_z([1-9][0-9]*)$")
+_STATUS_01 = re.compile(r"[^,]*,[01],")
+
+#: Characters of dataset rows cast by one ``np.loadtxt`` call.
+BLOCK_CHARS = 1 << 20
 
 
 def float_repr(x) -> str:
@@ -46,17 +54,32 @@ def float_repr(x) -> str:
 
 
 def sha256_file(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; ValidationError, naming the file, if it is not UTF-8."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+def _text_lines(path):
+    """Yield the lines of a UTF-8 text file, one physical line at a time.
+
+    The lines are those of ``text.splitlines()`` on the whole text: a
+    physical line ends at LF, and no other break or UTF-8 sequence spans
+    an LF. A byte that is not UTF-8 raises ValidationError naming the file
+    and the byte's offset in it, when the reader reaches its line.
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(
+                    f"{path}: not UTF-8 text ({exc.reason} at byte {offset + exc.start})"
+                ) from None
+            offset += len(raw)
+            yield from text.splitlines()
 
 
 def _write_lines(path, lines) -> None:
@@ -91,14 +114,35 @@ def write_dataset(path, dataset: SurvivalDataset) -> None:
 def read_dataset(path) -> SurvivalDataset:
     """Parse and validate a dataset CSV; errors carry 1-based line/column.
 
-    Each row is cast in one numpy call, which parses a field as ``float()``
-    does; only a row that fails the cast or a check goes through ``_check_row``.
+    Rows are cast in blocks of about ``BLOCK_CHARS`` characters, each by one
+    ``np.loadtxt`` call, which parses a field as ``float()`` does. A block
+    is kept when every row has p + 2 fields, a status of exactly ``0`` or
+    ``1``, a nonnegative time and finite values; any other block goes row by
+    row through ``_check_row``, so the error names the file's first bad
+    field. A file that is not UTF-8 is reported as such before any error in
+    its rows, as if it had been decoded whole. Memory is the n x (p+2) table
+    twice, while the blocks are joined, plus one block.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(1, 1, "empty file")
+    lines = _text_lines(path)
+    try:
+        table = _read_table(lines)
+    except ValueError:
+        for _ in lines:
+            pass
+        raise
+    return SurvivalDataset(
+        times=table[:, 0],
+        status=table[:, 1].astype(np.int8),
+        covariates=table[:, 2:],
+    )
 
-    header = lines[0].split(",")
+
+def _read_table(lines) -> np.ndarray:
+    """The (rows, p + 2) values under a checked ``time,status,z1,...,zp`` header."""
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(1, 1, "empty file")
+    header = header.split(",")
     if len(header) < 3:
         raise ParseError(1, 1, "header needs time, status, and at least one covariate")
     if header[0] != "time":
@@ -110,22 +154,40 @@ def read_dataset(path) -> SurvivalDataset:
             raise ParseError(1, j + 2, f"expected header field 'z{j}', got {name!r}")
     p = len(header) - 2
 
-    table = np.empty((len(lines) - 1, p + 2))
-    for line_no, (line, row) in enumerate(zip(lines[1:], table), start=2):
-        fields = line.split(",")
+    blocks = [np.empty((0, p + 2))]
+    block, chars, line_no = [], 0, 2
+    for line in lines:
+        block.append(line)
+        chars += len(line)
+        if chars >= BLOCK_CHARS:
+            blocks.append(_cast_block(block, line_no, p))
+            line_no += len(block)
+            block, chars = [], 0
+    if block:
+        blocks.append(_cast_block(block, line_no, p))
+    return np.concatenate(blocks)
+
+
+def _cast_block(block: list[str], first_line: int, p: int) -> np.ndarray:
+    """The values of the rows ``block``, the first of them on line ``first_line``."""
+    # loadtxt skips a blank line and warns on empty input; a row the
+    # pattern accepts has three fields, so neither can happen.
+    if all(_STATUS_01.match(line) for line in block):
         try:
-            if len(fields) == p + 2 and fields[1] in ("0", "1"):
-                row[:] = fields
-                if row[0] >= 0.0 and np.isfinite(row).all():
-                    continue
+            values = np.loadtxt(
+                block, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
+            )
         except ValueError:
             pass
-        row[:] = _check_row(fields, line_no, p)
-
-    return SurvivalDataset(
-        times=table[:, 0],
-        status=table[:, 1].astype(np.int8),
-        covariates=table[:, 2:],
+        else:
+            if (
+                values.shape == (len(block), p + 2)
+                and (values[:, 0] >= 0.0).all()
+                and np.isfinite(values).all()
+            ):
+                return values
+    return np.array(
+        [_check_row(line.split(","), line_no, p) for line_no, line in enumerate(block, first_line)]
     )
 
 
@@ -175,7 +237,7 @@ _REQUIRED_KEYS = ("model", "n", "p")
 
 def read_scenario(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file."""
-    lines = _read_lines(path)
+    lines = list(_text_lines(path))
 
     raw: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
@@ -266,7 +328,7 @@ def write_records(path, records: list[ReplicationRecord], active_set) -> None:
 
 def read_records(path) -> tuple[list[ReplicationRecord], tuple[int, ...]]:
     """Parse a records CSV; returns the records and the 0-based active set."""
-    lines = _read_lines(path)
+    lines = list(_text_lines(path))
     if not lines:
         raise ParseError(1, 1, "empty file")
 

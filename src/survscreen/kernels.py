@@ -55,8 +55,23 @@ class KernelSpec:
         gamma = float(self.gamma)
         if not np.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
-        if self.family != "linear" and gamma <= 0.0:
+        if self.family == "linear":
+            return
+        if gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {gamma}")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"gamma is too small for a finite kernel scale, got {gamma}")
+
+    @property
+    def scale(self) -> float | None:
+        """The factor in k(x, y) = exp(scale * d(x, y)): -1 / (2 gamma^2) for
+        gaussian (d the squared distance), -1 / gamma for laplacian (d the
+        L1 distance), None for linear."""
+        if self.family == "linear":
+            return None
+        gamma = float(self.gamma)
+        width = gamma if self.family == "laplacian" else 2.0 * gamma * gamma
+        return -1.0 / width if width else -np.inf
 
 
 #: The default used throughout: Gaussian with bandwidth 2 on every side.
@@ -79,9 +94,7 @@ def _terms(spec: KernelSpec):
     """(pair, fold, scale) of a family: k(x, y) = exp(scale * sum_k fold(pair(x_k, y_k)))."""
     if spec.family == "linear":
         return np.multiply, None, None
-    if spec.family == "laplacian":
-        return np.subtract, np.abs, -1.0 / spec.gamma
-    return np.subtract, np.square, -1.0 / (2.0 * spec.gamma * spec.gamma)
+    return np.subtract, (np.abs if spec.family == "laplacian" else np.square), spec.scale
 
 
 def _apply(term, fold, scale):

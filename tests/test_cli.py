@@ -519,6 +519,16 @@ CLI_ERRORS = {
     "screen_linear_inf_gamma": (
         "screen --input {t}/d.csv --out {t}/o.csv --kernel linear --gamma inf", {}, 4, None
     ),
+    "screen_gamma_scale_underflows": (
+        "screen --input {t}/d.csv --out {t}/o.csv --gamma 1e-170", {}, 4, "--gamma"
+    ),
+    "screen_gamma_scale_overflows": (
+        "screen --input {t}/d.csv --out {t}/o.csv --gamma 1e-160", {}, 4, "--gamma"
+    ),
+    "screen_laplacian_gamma_scale_overflows": (
+        "screen --input {t}/d.csv --out {t}/o.csv --kernel laplacian --gamma 1e-310", {}, 4,
+        "--gamma",
+    ),
     "screen_manifest_is_out": (
         "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/o.csv", {}, 4, "--out and --manifest"
     ),
@@ -590,6 +600,26 @@ def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, caps
     assert len(errors) == 1 and errors[0].startswith("survscreen: error: "), stderr
     assert named is None or named in errors[0]
     assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 14.9 GiB for an array", "Unable to allocate 14.9 GiB for an array"),
+        ("", "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys, message, line):
+    def exhausted(path):
+        raise MemoryError(message)
+
+    write_cox_dataset(tmp_path / "d.csv", p=5)
+    monkeypatch.setattr(cli, "read_dataset", exhausted)
+    argv = ["screen", "--input", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"survscreen: error: {line}"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("out_dir", ["afile", "afile/run", "afile/run/deeper"])

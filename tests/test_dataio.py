@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,3 +519,34 @@ def test_generated_dataset_survives_file_round_trip(tmp_path):
     back = read_dataset(path)
     assert np.array_equal(back.times, gen.dataset.times)
     assert np.array_equal(back.covariates, gen.dataset.covariates)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_dataset_holds_the_table_not_the_file(tmp_path):
+    # The file (about 4.7 MB) spans several blocks and is 2.5 times the
+    # table; reading it whole and splitting it cost about 4.9 tables.
+    n, p = 60, 4000
+    rng = np.random.default_rng(5)
+    data = SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, p)))
+    path = tmp_path / "wide.csv"
+    write_dataset(path, data)
+    back, peak = traced_peak(read_dataset, path)
+    assert back.covariates.tobytes() == data.covariates.tobytes()
+    assert peak <= 3 * n * (p + 2) * 8
+
+
+def test_sha256_file_reads_in_bounded_pieces(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(bytes(range(256)) * (16 * 2**12))
+    digest, peak = traced_peak(sha256_file, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < 4 * 2**20

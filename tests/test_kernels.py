@@ -47,6 +47,21 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="gamma must be finite, got inf"):
             KernelSpec(family, math.inf)
 
+    @pytest.mark.parametrize(
+        "family, gamma", [("gaussian", 1e-170), ("gaussian", 1e-160), ("laplacian", 1e-310)]
+    )
+    def test_gamma_whose_scale_is_not_finite_rejected(self, family, gamma):
+        # 2 gamma^2 underflows to 0 at 1e-170; -1 / (2 gamma^2) and -1 / gamma
+        # overflow at 1e-160 and 1e-310. Either gave NaN or a ZeroDivisionError.
+        with pytest.raises(ValueError, match=f"too small for a finite kernel scale, got {gamma}"):
+            KernelSpec(family, gamma)
+
+    def test_scale_per_family(self):
+        assert KernelSpec("gaussian", 2.0).scale == -0.125
+        assert KernelSpec("laplacian", 4.0).scale == -0.25
+        assert KernelSpec("linear", -5.0).scale is None
+        assert KernelSpec("gaussian", 1e-150).scale == -1.0 / (2.0 * 1e-150 * 1e-150)
+
 
 class TestGram:
     def test_identical_points(self):
