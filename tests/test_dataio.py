@@ -533,7 +533,7 @@ def traced_peak(fn, *args):
 
 def test_read_dataset_holds_the_table_not_the_file(tmp_path):
     # The file (about 4.7 MB) spans several blocks and is 2.5 times the
-    # table; reading it whole and splitting it cost about 4.9 tables.
+    # table; holding its text whole and split peaks near 4.9 tables.
     n, p = 60, 4000
     rng = np.random.default_rng(5)
     data = SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, p)))

@@ -52,7 +52,8 @@ class TestKernelSpec:
     )
     def test_gamma_whose_scale_is_not_finite_rejected(self, family, gamma):
         # 2 gamma^2 underflows to 0 at 1e-170; -1 / (2 gamma^2) and -1 / gamma
-        # overflow at 1e-160 and 1e-310. Either gave NaN or a ZeroDivisionError.
+        # overflow at 1e-160 and 1e-310. Such a scale gives NaN kernel values
+        # or a ZeroDivisionError.
         with pytest.raises(ValueError, match=f"too small for a finite kernel scale, got {gamma}"):
             KernelSpec(family, gamma)
 
