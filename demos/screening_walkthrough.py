@@ -13,14 +13,12 @@ import numpy as np
 from survscreen import (
     GAUSSIAN_DEFAULT,
     SimScenario,
-    dc_utility,
     default_cutoff,
     generate,
     min_model_size,
     rank_positions,
     screen,
 )
-from survscreen.screening import rank_utilities
 
 
 def main():
@@ -61,8 +59,7 @@ def main():
 
     # The distance-correlation utility ranks with the same convention and
     # usually agrees on the strong signals.
-    omega_dc = dc_utility(data)
-    ranking_dc = rank_utilities(omega_dc, data.n).ranking
+    ranking_dc = screen(data, method="dc").ranking
     s_dc = min_model_size(ranking_dc, active)
     print(f"\ndistance correlation: minimum model size S = {s_dc}")
     overlap = len(set(map(int, result.ranking[:10])) & set(map(int, ranking_dc[:10])))

@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .screening import dc_utility, default_cutoff, rank_utilities, screen
+from .screening import METHODS, default_cutoff, screen
 from .simulate import SimScenario, censoring_scale, generate
 from .workers import fork_map
-
-METHODS = ("hsic", "dc")
 
 #: Quantile rule used for all summaries, recorded in run manifests.
 QUANTILE_CONVENTION = "linear interpolation between order statistics (type 7)"
@@ -129,10 +127,7 @@ def summarize_records(records: list[ReplicationRecord], active_set, d_n: int) ->
 
 def _screen_one(scenario: SimScenario, replication: int, method: str) -> ReplicationRecord:
     data = generate(scenario, replication).dataset
-    if method == "hsic":
-        result = screen(data)
-    else:
-        result = rank_utilities(dc_utility(data), data.n)
+    result = screen(data, method=method)
     ranks = rank_positions(result.ranking, scenario.active_set)
     return ReplicationRecord(
         scenario_id=scenario.default_id,

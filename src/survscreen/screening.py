@@ -17,6 +17,10 @@ import numpy as np
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
 
+#: The marginal utilities ``screen`` ranks by: the paper's HSIC, and the
+#: distance-correlation baseline it is compared against.
+METHODS = ("hsic", "dc")
+
 #: Columns scored per chunk. No value depends on it; 256 keeps an (n, 256)
 #: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
 #: offset makes over it. A constant, not tuned to the machine or threads.
@@ -93,8 +97,9 @@ def standardize(times, status) -> StandardizedResponse:
     """Standardize (time, status) marginally with sample moments (ddof=1).
 
     Raises ValueError unless times and status are finite, DegenerateTimesError
-    when times have zero variance or one that overflows double precision, and
-    DegenerateStatusError when everyone is censored or everyone an event.
+    when times are constant or their variance over- or underflows double
+    precision, and DegenerateStatusError when everyone is censored or
+    everyone an event.
     """
     times = np.asarray(times, dtype=np.float64)
     status = np.asarray(status, dtype=np.float64)
@@ -114,8 +119,12 @@ def standardize(times, status) -> StandardizedResponse:
         raise DegenerateTimesError(
             "the variance of the observed times overflows double precision"
         )
-    if sd_x <= 0.0:
+    if times.min() == times.max():
         raise DegenerateTimesError("observed times have zero variance")
+    if sd_x * sd_x < np.finfo(np.float64).tiny:
+        raise DegenerateTimesError(
+            "the variance of the observed times underflows double precision"
+        )
     if sd_d <= 0.0:
         raise DegenerateStatusError(
             "status has zero variance (all subjects censored or all events)"
@@ -148,6 +157,7 @@ def screen(
     spec_y: KernelSpec = GAUSSIAN_DEFAULT,
     d_n: int | None = None,
     *,
+    method: str = "hsic",
     standardize_covariates: bool = False,
 ) -> ScreenResult:
     """Rank covariates by HSIC against the standardized censored response.
@@ -157,12 +167,20 @@ def screen(
     ``d_n`` defaults to ``default_cutoff(n)``. Covariates are used on their
     raw scale unless ``standardize_covariates`` is set.
 
+    ``method="dc"`` ranks ``dc_utility`` instead and ignores both kernel
+    specs. Any method outside ``METHODS`` raises ValueError.
+
     No covariate Gram is formed: the columns are swept in chunks of
     ``CHUNK_COLUMNS``, so memory is the one n x n response matrix plus a
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
     column, whatever the other columns are; results land at fixed
     positions, so any split over columns reproduces the serial output.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "dc":
+        omega = dc_utility(data, standardize_covariates=standardize_covariates)
+        return rank_utilities(omega, data.n, d_n)
     Z, y = _covariates_and_response(data, standardize_covariates)
     W = _upper_weights(center(gram(y, spec_y)))
     terms = _terms(spec_z)

@@ -237,10 +237,15 @@ def _censor_weights(censoring: str, z: np.ndarray) -> np.ndarray:
     return np.ones(z.shape[0])
 
 
-def _draw_latent(scenario: SimScenario, size: int, rng: np.random.Generator):
-    """Draw (T, censor-scale weights) with covariates truncated to the active range."""
-    z = sample_ar1_normal(size, min(scenario.p, _min_p(scenario.model)), scenario.rho, rng)
-    return _sample_times(scenario.model, z, rng), _censor_weights(scenario.censoring, z)
+def _draw(scenario: SimScenario, size: int, p: int, rng: np.random.Generator):
+    """``size`` draws of (covariates Z with ``p`` columns, failure times T,
+    censor-scale weights), taking Z and then the time noise from ``rng``.
+
+    Calibration asks for ``_min_p(model)`` columns, all that the times and
+    the weights read; ``SimScenario`` refuses a smaller p.
+    """
+    z = sample_ar1_normal(size, p, scenario.rho, rng)
+    return z, _sample_times(scenario.model, z, rng), _censor_weights(scenario.censoring, z)
 
 
 def _censoring_rate(t: np.ndarray, w: np.ndarray, scale: float) -> float:
@@ -254,7 +259,7 @@ def expected_censoring_rate(
     scenario: SimScenario, scale: float, n_cal: int, rng: np.random.Generator
 ) -> float:
     """Monte Carlo censoring rate at a given scale, on a fresh latent draw."""
-    t, w = _draw_latent(scenario, n_cal, rng)
+    _, t, w = _draw(scenario, n_cal, _min_p(scenario.model), rng)
     return _censoring_rate(t, w, scale)
 
 
@@ -286,7 +291,7 @@ def calibrate_censoring(
     """
     if n_cal < 10_000:
         raise ValueError(f"n_cal must be at least 10,000, got {n_cal}")
-    t, w = _draw_latent(scenario, n_cal, _calibration_rng(scenario))
+    _, t, w = _draw(scenario, n_cal, _min_p(scenario.model), _calibration_rng(scenario))
     target = scenario.target_cr
 
     lo = hi = 1.0
@@ -363,9 +368,8 @@ def generate(scenario: SimScenario, replication: int = 0) -> GeneratedData:
     """
     rng = replication_rng(scenario.seed, replication)
     scale = censoring_scale(scenario)
-    z = sample_ar1_normal(scenario.n, scenario.p, scenario.rho, rng)
-    t = _sample_times(scenario.model, z, rng)
-    c = scale * _censor_weights(scenario.censoring, z) * rng.random(scenario.n)
+    z, t, w = _draw(scenario, scenario.n, scenario.p, rng)
+    c = scale * w * rng.random(scenario.n)
     status = (t <= c).astype(np.int8)
     dataset = SurvivalDataset(times=np.minimum(t, c), status=status, covariates=z)
     return GeneratedData(dataset=dataset, true_times=t, censor_times=c)

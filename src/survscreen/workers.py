@@ -3,34 +3,22 @@
 
 The scorer makes many small numpy calls that hold the interpreter lock, so
 threads barely overlap them; processes do. Workers are forked so that they
-inherit the caller's memory: the function to apply, the calibration cache
-and any patched name. Only task arguments and
-results are pickled. The pool forks its workers before it starts its
-manager thread.
+inherit the caller's memory: the calibration cache and any patched name.
+The function to apply is pickled by reference, with each task's arguments
+and each result. The pool forks its workers before it starts its manager
+thread.
 """
 
 from __future__ import annotations
 
 import os
 
-#: The function a worker applies, set by ``_install`` in each worker; None in the caller.
-_fn = None
-
-
-def _install(fn) -> None:
-    global _fn
-    _fn = fn
-
-
-def _call(args: tuple):
-    return _fn(*args)
-
 
 def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
     """``[fn(*task) for task in tasks]``, in task order, over at most
     ``min(jobs, len(tasks))`` forked worker processes.
 
-    ``fn`` reaches the workers by inheritance, so it may be a closure; each
+    ``fn`` must be a module-level function, which pickles by name; each
     task tuple and each result must pickle. When a call raises, the first
     error in task order propagates and tasks not yet started are cancelled;
     every worker has exited when this returns or raises. A worker that ends
@@ -45,13 +33,8 @@ def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_install,
-            initargs=(fn,),
-        ) as pool:
-            return list(pool.map(_call, tasks))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
     except BrokenExecutor as exc:
         raise OSError(
             "a worker process ended abruptly (killed by a signal or out of memory)"

@@ -11,9 +11,11 @@ from survscreen.exceptions import (
 )
 from survscreen.kernels import GAUSSIAN_DEFAULT, KernelSpec, hsic_pair
 from survscreen.screening import (
+    METHODS,
     SurvivalDataset,
     dc_utility,
     default_cutoff,
+    rank_utilities,
     screen,
     standardize,
     standardize_columns,
@@ -109,11 +111,26 @@ class TestStandardize:
     def test_constant_times_degenerate(self):
         with pytest.raises(DegenerateTimesError):
             standardize([2.0, 2.0, 2.0], [1, 0, 1])
+        # the rounded mean of three 0.1s is not 0.1, so their sd is not 0
+        with pytest.raises(DegenerateTimesError, match="zero variance"):
+            standardize([0.1, 0.1, 0.1], [1, 0, 1])
 
     def test_overflowing_variance_named_without_warning(self):
         # the squared deviations overflow; that is not a zero variance
         with pytest.raises(DegenerateTimesError, match="overflows"):
             standardize([1e200, 2e200, 3e200, 4e200], [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-320])
+    def test_underflowing_variance_named_without_warning(self, scale):
+        # at 1e-160 the variance is subnormal and the sd loses digits; at
+        # 1e-320 the times are subnormal and the variance rounds to zero
+        times = [scale, 2 * scale, 3 * scale, 4 * scale]
+        with pytest.raises(DegenerateTimesError, match="underflows"):
+            standardize(times, [1, 0, 1, 0])
+
+    def test_times_just_above_the_underflow_still_standardize(self):
+        y = standardize([1e-150, 2e-150, 3e-150, 4e-150], [1, 0, 1, 0]).y
+        assert np.allclose(y, standardize([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0]).y, atol=1e-14)
 
     @pytest.mark.parametrize(
         "times, status",
@@ -162,10 +179,28 @@ class TestScreen:
 
     def test_dn_out_of_range(self):
         data = make_dataset(np.random.default_rng(4), p=6)
-        with pytest.raises(ValueError, match="d_n"):
-            screen(data, d_n=0)
-        with pytest.raises(ValueError, match="d_n"):
-            screen(data, d_n=7)
+        for method in METHODS:
+            with pytest.raises(ValueError, match="d_n"):
+                screen(data, d_n=0, method=method)
+            with pytest.raises(ValueError, match="d_n"):
+                screen(data, d_n=7, method=method)
+
+    @pytest.mark.parametrize("standardize_covariates", [False, True])
+    @pytest.mark.parametrize("d_n", [None, 3])
+    def test_dc_method_ranks_dc_utility(self, d_n, standardize_covariates):
+        data = make_dataset(np.random.default_rng(15), n=40, p=7)
+        omega = dc_utility(data, standardize_covariates=standardize_covariates)
+        expected = rank_utilities(omega, data.n, d_n)
+        res = screen(data, d_n=d_n, method="dc", standardize_covariates=standardize_covariates)
+        assert res.omega.tobytes() == omega.tobytes()
+        assert np.array_equal(res.ranking, expected.ranking)
+        assert np.array_equal(res.selected, expected.selected)
+        assert res.d_n == expected.d_n
+
+    def test_unknown_method_names_both_methods(self):
+        data = make_dataset(np.random.default_rng(16), p=4)
+        with pytest.raises(ValueError, match=r"'lasso'.*\('hsic', 'dc'\)"):
+            screen(data, method="lasso")
 
     def test_omega_matches_hsic_pair_bitwise(self):
         data = make_dataset(np.random.default_rng(5), n=30, p=5)
