@@ -24,7 +24,11 @@ replications, at most one per replication; where the platform cannot
 fork they run serially. The default is the SURVSCREEN_JOBS environment
 variable when set, otherwise the number of logical cores. Replication
 streams are fixed by (seed, replication index), so --jobs never changes
-output bytes.
+output bytes. ``screen`` uses that default too: a dataset file of at least
+``dataio.SPLIT_BYTES`` is read, and a screen of at least
+``screening.SPLIT_ENTRIES`` scored, by that many forked workers, with the
+bytes of one process. Both commands refuse a SURVSCREEN_JOBS that is not a
+positive integer (exit 4) before any work.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ from .kernels import KERNEL_FAMILIES, KernelSpec
 # dc_utility is not called here; the traced benchmark wraps every name it lists.
 from .screening import METHODS, dc_utility, default_cutoff, screen
 from .simulate import RNG_STREAM_ID, censoring_scale, generate
-
-JOBS_ENV_VAR = "SURVSCREEN_JOBS"
+# bench/child.py records cli._default_jobs() in its environment block.
+from .workers import JOBS_ENV_VAR, default_jobs as _default_jobs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,20 +76,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(4)
-
-
-def _default_jobs() -> int:
-    """$SURVSCREEN_JOBS when set, else the logical core count; ValueError if it is bad."""
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return jobs
 
 
 def _check_output(path) -> None:
@@ -220,6 +210,11 @@ def cmd_screen(parser: _Parser, args) -> int:
         spec = KernelSpec(family=args.kernel, gamma=args.gamma)
     except ValueError as exc:
         parser.error(f"--{exc}")
+
+    try:
+        _default_jobs()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     manifest_path = args.manifest or args.out + ".manifest.json"
     _check_distinct(

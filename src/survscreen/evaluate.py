@@ -152,7 +152,9 @@ def run_experiment(
     not depend on ``parallelism``; workers only change wall time. With
     ``parallelism`` above 1, replications run in that many forked worker
     processes, at most one per replication (serially where the platform
-    cannot fork), and each screens with one process. The scenario is
+    cannot fork), and each screens within its worker. With the default
+    of 1 they run in the caller, whose screens split over forked workers
+    of their own above ``screening.SPLIT_ENTRIES``. The scenario is
     calibrated here first, so the workers inherit the cached scale. Records
     are returned in replication order. When a replication raises, the error
     propagates and replications not yet started are cancelled. For other

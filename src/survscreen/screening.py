@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
+from .workers import default_jobs, fork_map
 
 #: The marginal utilities ``screen`` ranks by: the paper's HSIC, and the
 #: distance-correlation baseline it is compared against.
@@ -25,6 +26,13 @@ METHODS = ("hsic", "dc")
 #: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
 #: offset makes over it. A constant, not tuned to the machine or threads.
 CHUNK_COLUMNS = 256
+
+#: Response-matrix entries swept, n^2 p / 2, from which a screen's chunks
+#: are scored by ``default_jobs()`` forked workers. Two workers at n=200 on
+#: a 2-vCPU host, HSIC and DC medians of 9-15 alternating runs: p=300 (6e6
+#: entries) lost, 30 -> 38 ms, to the fork; p=500 (1e7) won, 47 -> 35 ms,
+#: and p=2000 won 165 -> 116 ms. No value depends on it.
+SPLIT_ENTRIES = 10_000_000
 
 
 @dataclass
@@ -175,6 +183,11 @@ def screen(
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
     column, whatever the other columns are; results land at fixed
     positions, so any split over columns reproduces the serial output.
+    From ``SPLIT_ENTRIES`` (n^2 p / 2) the chunks are scored by
+    ``workers.default_jobs()`` forked workers, each of which shares the
+    caller's response matrix and holds a few slabs of its own; set
+    SURVSCREEN_JOBS=1 to score in the calling process, for example from a
+    threaded program.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -207,16 +220,20 @@ def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
     ``score`` gets each chunk copied into a C-contiguous (n, w) array and
     returns w values. A lone column is padded with a zero column, because
     numpy sums an (m, 1) array over axis 0 pairwise rather than in row
-    order. ``Z`` is only read.
+    order. ``Z`` is only read. From ``SPLIT_ENTRIES`` response-matrix
+    entries swept the chunks go to ``default_jobs()`` forked workers; each
+    value lands at its column's position, so the bits are the serial ones.
     """
     n, p = Z.shape
-    values = np.empty(p)
-    for start in range(0, p, CHUNK_COLUMNS):
+
+    def chunk(start):
         width = min(CHUNK_COLUMNS, p - start)
         z = np.zeros((n, max(2, width)))
         z[:, :width] = Z[:, start : start + width]
-        values[start : start + width] = score(z)[:width]
-    return values
+        return score(z)[:width]
+
+    jobs = default_jobs() if n * n * p / 2 >= SPLIT_ENTRIES else 1
+    return np.concatenate(fork_map(chunk, [(start,) for start in range(0, p, CHUNK_COLUMNS)], jobs))
 
 
 def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:

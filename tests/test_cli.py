@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survscreen import cli, evaluate, exceptions
+from survscreen import cli, dataio, evaluate, exceptions, screening
 from survscreen.dataio import read_dataset, read_records, write_dataset
 from survscreen.evaluate import run_experiment
 from survscreen.exceptions import DegenerateStatusError, InfeasibleTargetError, ParseError
-from survscreen.kernels import DEFAULT_MAX_SAMPLES
+from survscreen.kernels import DEFAULT_MAX_SAMPLES, KERNEL_FAMILIES
 from survscreen.screening import SurvivalDataset
 from survscreen.simulate import SimScenario, generate
 
@@ -174,6 +174,47 @@ class TestScreenCommand:
             assert proc.returncode == 0, proc.stderr
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+        # nor on the worker count, on a dataset whose reading and scoring split
+        n, p = 200, 1000
+        wide_path = tmp_path / "wide.csv"
+        write_cox_dataset(wide_path, n=n, p=p)
+        assert wide_path.stat().st_size >= dataio.SPLIT_BYTES
+        assert n * n * p / 2 >= screening.SPLIT_ENTRIES
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"w{jobs}.csv"
+            proc = run_cli(
+                "screen", "--input", wide_path, "--out", out, "--method", method,
+                env_extra={"SURVSCREEN_JOBS": jobs},
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("kernel", KERNEL_FAMILIES)
+    def test_split_reading_and_scoring_write_the_serial_bytes(self, tmp_path, monkeypatch, kernel):
+        # Both cuts at 0, so two workers read and score even this small file.
+        write_cox_dataset(tmp_path / "d.csv", n=40, p=600)
+        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
+        runs = {
+            "hsic": ["--gamma", "1.5"],
+            "hsic_std": ["--standardize-covariates"],
+            "dc_std": ["--method", "dc", "--standardize-covariates"],
+        }
+        written = {}
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("SURVSCREEN_JOBS", jobs)
+            for name, flags in runs.items():
+                out = tmp_path / f"{name}{jobs}.csv"
+                argv = ["screen", "--input", str(tmp_path / "d.csv"), "--out", str(out)]
+                assert cli.main(argv + ["--kernel", kernel, *flags]) == 0
+                manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+                manifest.pop("timestamp")
+                written[name, jobs] = out.read_bytes(), manifest
+        for name in runs:
+            assert written[name, "1"] == written[name, "2"]
 
     def test_hsic_above_sample_cap_exits_2_with_gram_size(self, tmp_path):
         n = DEFAULT_MAX_SAMPLES + 1
@@ -550,6 +591,10 @@ CLI_ERRORS = {
     "simulate_bad_jobs_env": (
         "simulate --scenario {t}/s.cfg --out-dir {t}/run", {"SURVSCREEN_JOBS": "zero"}, 4, None
     ),
+    "screen_bad_jobs_env": (
+        "screen --input {t}/d.csv --out {t}/o.csv", {"SURVSCREEN_JOBS": "zero"}, 4,
+        "SURVSCREEN_JOBS must be a positive integer, got 'zero'",
+    ),
     "simulate_replications_zero": (
         "simulate --scenario {t}/s.cfg --out-dir {t}/run --replications 0", {}, 4, None
     ),
@@ -679,6 +724,8 @@ def test_replication_failing_in_a_worker_exits_3_and_leaves_no_process(
     assert stderr.splitlines() == [f"survscreen: error: {message}"]
     assert not (tmp_path / "run").exists()
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_killed_mid_run_exits_2_and_leaves_no_process(tmp_path, monkeypatch, capsys):
@@ -702,3 +749,5 @@ def test_worker_killed_mid_run_exits_2_and_leaves_no_process(tmp_path, monkeypat
     ]
     assert not (tmp_path / "run").exists()
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

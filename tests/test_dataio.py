@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from survscreen import dataio
 from survscreen.dataio import (
     ScenarioConfig,
     build_manifest,
@@ -25,6 +26,7 @@ from survscreen.evaluate import ReplicationRecord, summarize_records
 from survscreen.exceptions import ParseError, ValidationError
 from survscreen.screening import SurvivalDataset, screen
 from survscreen.simulate import SimScenario, generate
+from survscreen.workers import JOBS_ENV_VAR, fork_map
 
 
 def toy_dataset(rng=None, n=5, p=3):
@@ -531,7 +533,7 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_read_dataset_holds_the_table_not_the_file(tmp_path):
+def test_read_dataset_holds_the_table_not_the_file(tmp_path, monkeypatch):
     # The file (about 4.7 MB) spans several blocks and is 2.5 times the
     # table; holding its text whole and split peaks near 4.9 tables.
     n, p = 60, 4000
@@ -540,6 +542,21 @@ def test_read_dataset_holds_the_table_not_the_file(tmp_path):
     path = tmp_path / "wide.csv"
     write_dataset(path, data)
     back, peak = traced_peak(read_dataset, path)
+    assert back.covariates.tobytes() == data.covariates.tobytes()
+    assert peak <= 3 * n * (p + 2) * 8
+
+    # Cast by two forked workers, the caller holds the pieces they send and their join.
+    splits = []
+
+    def counted(fn, tasks, jobs):
+        splits.append(min(len(tasks), jobs))
+        return fork_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(dataio, "fork_map", counted)
+    monkeypatch.setenv(JOBS_ENV_VAR, "2")
+    back, peak = traced_peak(read_dataset, path)
+    assert splits == [2]
     assert back.covariates.tobytes() == data.covariates.tobytes()
     assert peak <= 3 * n * (p + 2) * 8
 

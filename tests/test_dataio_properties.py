@@ -1,5 +1,6 @@
 """Property tests for the dataset CSV reader and writer."""
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from survscreen import dataio
+from survscreen import dataio, workers
 from survscreen.dataio import _check_row, read_dataset, write_dataset
 from survscreen.exceptions import ValidationError
 from survscreen.screening import SurvivalDataset
@@ -153,5 +154,12 @@ def test_streamed_blocks_read_as_the_whole_text_would(tmp_path_factory, data, p,
         raw = raw[:at] + data.draw(st.sampled_from(NOT_UTF8)) + raw[at:]
     path = tmp_path_factory.mktemp("blocks") / "d.csv"
     path.write_bytes(raw)
+    expected = outcome(read_whole, path, header)
     with mock.patch.object(dataio, "BLOCK_CHARS", block_chars):
-        assert outcome(read_dataset, path) == outcome(read_whole, path, header)
+        assert outcome(read_dataset, path) == expected
+        # and cut into byte ranges that two or three forked workers cast; one
+        # worker count per example keeps the forks' cost within the test's time
+        jobs = data.draw(st.sampled_from(["2", "3"]))
+        with mock.patch.object(dataio, "SPLIT_BYTES", 0):
+            with mock.patch.dict(os.environ, {workers.JOBS_ENV_VAR: jobs}):
+                assert outcome(read_dataset, path) == expected
