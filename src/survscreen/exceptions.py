@@ -26,7 +26,8 @@ class ValidationError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Data admits no screening (zero-variance response component)."""
+    """Data admits no screening (a zero-variance response component, or an
+    HSIC utility that overflows double precision)."""
 
 
 class DegenerateStatusError(DegenerateDataError):

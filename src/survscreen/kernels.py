@@ -16,9 +16,10 @@ and the distance-correlation baseline's distances) from elementwise terms,
 one coordinate at a time. The screening scorer, ``_sweep``, never builds a
 covariate's matrix, and sums the Frobenius product in the same fixed order
 as ``hsic``: the upper triangle of K weighted by both triangles of the
-response matrix, diagonal k = 0, 1, ..., n-1 in turn, each in row order.
-No BLAS routine is called, so no value depends on the BLAS library or its
-thread count.
+response matrix, diagonal k = 0, 1, ..., n-1 in turn, each weighted and
+summed in row order by ``einsum(optimize=False)``, never by BLAS: no value
+depends on BLAS or its threads, but a numpy with an FMA baseline (x86-64-v3,
+aarch64) fuses each multiply and add, which moves the last bits.
 """
 
 from __future__ import annotations
@@ -175,18 +176,17 @@ def _sweep(z: np.ndarray, W: np.ndarray, pair, fold=None, scale=None) -> np.ndar
     ``_pairwise`` would build from z_j, summed in ``hsic``'s order.
 
     T_j is never formed: for each offset k, diagonal k of every T_j is one
-    (n-k, w) slab of a reused buffer, weighted by diagonal k of W and summed
-    over its rows. numpy adds the rows of an (m, w >= 2) array in order, so
-    a column's bits depend neither on w nor on its place in the chunk; an
-    (m, 1) array would be summed pairwise, so callers pad a lone column.
+    (n-k, w) slab of a reused buffer, contracted with diagonal k of W. einsum
+    adds the rows of an (m, w >= 2) slab in order, so a column's bits depend
+    neither on w nor on its place in the chunk; an (m, 1) slab takes an
+    unrolled reduction, so callers pad a lone column.
     """
     n, w = z.shape
     buf = np.empty((n, w))
     total = np.zeros(w)
     for k in range(n):
         term = _apply(pair(z[k:], z[: n - k], out=buf[: n - k]), fold, scale)
-        term *= np.diagonal(W, k)[:, None]
-        total += term.sum(axis=0)
+        total += np.einsum("ij,i->j", term, np.diagonal(W, k), optimize=False)
     return total
 
 
@@ -197,8 +197,8 @@ def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True) -> float:
     ``Lc = center(L)``. For PSD kernels the value is nonnegative up to
     roundoff; with ``clamp`` (the default) tiny negatives are clamped to 0.
     ``K`` must be symmetric, as Gram matrices are: only its upper triangle
-    is read. The sum runs in the order of ``screening.screen``'s scorer,
-    so both give a covariate the same bits.
+    is read. Each diagonal of K is contracted as ``_sweep`` does, padded to
+    two columns, so ``screening.screen`` gives a covariate the same bits.
     """
     K = np.asarray(K, dtype=np.float64)
     Lc = np.asarray(Lc, dtype=np.float64)
@@ -207,10 +207,10 @@ def hsic(K: np.ndarray, Lc: np.ndarray, *, clamp: bool = True) -> float:
     n = Lc.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
-    P = K * _upper_weights(Lc)
-    total = 0.0
-    for k in range(n):  # as _sweep: diagonal by diagonal, each in row order
-        total += np.cumsum(np.diagonal(P, k))[-1]
+    W, col, total = _upper_weights(Lc), np.zeros((n, 2)), 0.0
+    for k in range(n):
+        col[: n - k, 0] = np.diagonal(K, k)
+        total += np.einsum("ij,i->j", col[: n - k], np.diagonal(W, k), optimize=False)[0]
     value = float(total) / ((n - 1) * (n - 1))
     return 0.0 if clamp and value < 0.0 else value
 

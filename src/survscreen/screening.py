@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateStatusError, DegenerateTimesError, ValidationError
+from .exceptions import (
+    DegenerateDataError,
+    DegenerateStatusError,
+    DegenerateTimesError,
+    ValidationError,
+)
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
 from .workers import default_jobs, fork_map
 
@@ -24,14 +29,18 @@ METHODS = ("hsic", "dc")
 
 #: Columns scored per chunk. No value depends on it; 256 keeps an (n, 256)
 #: slab at n=200 (400 KiB) in a 2 MiB L2 cache through the few passes each
-#: offset makes over it. A constant, not tuned to the machine or threads.
+#: offset makes over it. Serial screens at n=200, p=2000, medians of 21
+#: alternating runs: 512 tied for HSIC (128 -> 127 ms, 9/21) and was 5%
+#: faster for DC. A constant, not tuned to the machine or threads.
 CHUNK_COLUMNS = 256
 
 #: Response-matrix entries swept, n^2 p / 2, from which a screen's chunks
 #: are scored by ``default_jobs()`` forked workers. Two workers at n=200 on
-#: a 2-vCPU host, HSIC and DC medians of 9-15 alternating runs: p=300 (6e6
-#: entries) lost, 30 -> 38 ms, to the fork; p=500 (1e7) won, 47 -> 35 ms,
-#: and p=2000 won 165 -> 116 ms. No value depends on it.
+#: a 2-vCPU host, medians of 11-15 alternating runs: p=300 (6e6 entries)
+#: lost to the fork (HSIC 27 -> 31 ms, DC 20 -> 26 ms); at p=500 (1e7)
+#: HSIC won, 39 -> 32 ms, while DC lost, 26 -> 29 ms, and tied up to
+#: p=1000; p=2000 won both (HSIC 137 -> 101, DC 87 -> 73 ms). No value
+#: depends on it.
 SPLIT_ENTRIES = 10_000_000
 
 
@@ -176,7 +185,10 @@ def screen(
     raw scale unless ``standardize_covariates`` is set.
 
     ``method="dc"`` ranks ``dc_utility`` instead and ignores both kernel
-    specs. Any method outside ``METHODS`` raises ValueError.
+    specs. Any method outside ``METHODS``, or a ``d_n`` outside 1..p,
+    raises ValueError before any scoring. A covariate whose HSIC utility
+    is not finite (its kernel values overflow once weighted) raises
+    DegenerateDataError naming it, as z1, z2, ... in column order.
 
     No covariate Gram is formed: the columns are swept in chunks of
     ``CHUNK_COLUMNS``, so memory is the one n x n response matrix plus a
@@ -191,6 +203,7 @@ def screen(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_cutoff(d_n, data.p)
     if method == "dc":
         omega = dc_utility(data, standardize_covariates=standardize_covariates)
         return rank_utilities(omega, data.n, d_n)
@@ -199,10 +212,17 @@ def screen(
     terms = _terms(spec_z)
 
     def score(z):
-        value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
         return np.where(value < 0.0, 0.0, value)
 
     omega = _score_chunks(Z, score)
+    overflowed = np.flatnonzero(~np.isfinite(omega))
+    if overflowed.size:
+        raise DegenerateDataError(
+            f"the HSIC utility of covariate z{overflowed[0] + 1} is not finite: "
+            "its weighted kernel values overflow double precision"
+        )
     return rank_utilities(omega, data.n, d_n)
 
 
@@ -244,8 +264,7 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
     1..p.
     """
     p = omega.shape[0]
-    if d_n is not None and not 1 <= d_n <= p:
-        raise ValueError(f"d_n must be in 1..{p}, got {d_n}")
+    _check_cutoff(d_n, p)
     ranking = np.argsort(-omega, kind="stable")
     d = min(default_cutoff(n), p) if d_n is None else d_n
     return ScreenResult(
@@ -254,6 +273,11 @@ def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenR
         selected=ranking[:d].copy(),
         d_n=d,
     )
+
+
+def _check_cutoff(d_n: int | None, p: int) -> None:
+    if d_n is not None and not 1 <= d_n <= p:
+        raise ValueError(f"d_n must be in 1..{p}, got {d_n}")
 
 
 def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -> np.ndarray:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survscreen.kernels import (
     DEFAULT_MAX_SAMPLES,
@@ -312,15 +314,70 @@ def test_independent_pairs_fall_below_permutation_null():
     assert hits >= int(0.95 * redraws)
 
 
+def _blas_calls(source: str):
+    """(line, name) of each call in ``source`` that may reach BLAS: a matrix
+    product, or an ``einsum`` without the literal keyword ``optimize=False``,
+    since its optimized paths hand contractions to ``tensordot``."""
+    blas = {"dot", "vdot", "matmul", "inner", "tensordot"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            yield node.lineno, "@"
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            in_order = any(
+                kw.arg == "optimize" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                for kw in node.keywords
+            )
+            if called in blas or (called == "einsum" and not in_order):
+                yield node.lineno, called
+
+
 def test_scoring_modules_call_no_blas():
-    # Every utility is reduced by numpy's fixed-order sum; a matrix product
-    # would make its bits depend on the BLAS library and its thread count.
-    blas = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+    # Every utility is reduced in one fixed order by numpy's own loops; a
+    # matrix product would make its bits depend on the BLAS library and its
+    # thread count.
     src = Path(__file__).resolve().parents[1] / "src" / "survscreen"
     for name in ("kernels.py", "screening.py"):
-        for node in ast.walk(ast.parse((src / name).read_text())):
-            assert not isinstance(getattr(node, "op", None), ast.MatMult), (name, node.lineno)
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                assert called not in blas, (name, node.lineno, called)
+        assert list(_blas_calls((src / name).read_text())) == [], name
+
+
+@pytest.mark.parametrize(
+    "call, banned",
+    [
+        ("a @ b", True),
+        ("np.dot(a, b)", True),
+        ("a.dot(b)", True),
+        ("np.vdot(a, b)", True),
+        ("np.matmul(a, b)", True),
+        ("np.inner(a, b)", True),
+        ("np.tensordot(a, b)", True),
+        ("np.einsum('ij,i->j', a, b)", True),
+        ("np.einsum('ij,i->j', a, b, optimize=True)", True),
+        ("np.einsum('ij,i->j', a, b, optimize='greedy')", True),
+        ("np.einsum('ij,i->j', a, b, optimize=0)", True),
+        ("np.einsum('ij,i->j', a, b, optimize=flag)", True),
+        ("einsum('ij,i->j', a, b, **{'optimize': False})", True),
+        ("np.einsum('ij,i->j', a, b, optimize=False)", False),
+    ],
+)
+def test_blas_ban_passes_only_in_order_einsum(call, banned):
+    assert bool(list(_blas_calls(call))) is banned
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 400),
+    w=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contraction_adds_rows_in_order(m, w, seed):
+    # _sweep and hsic weight and sum each diagonal in one einsum; its bits
+    # must be those of a broadcast multiply followed by numpy's in-order row
+    # sum, so that fusing the two passes moved no utility. (A numpy with an
+    # FMA baseline fuses the multiply and add and would differ here.)
+    rng = np.random.default_rng(seed)
+    term = rng.standard_normal((m, w)) * 10.0 ** rng.uniform(-30.0, 30.0, (m, w))
+    d = rng.standard_normal(m) * 10.0 ** rng.uniform(-30.0, 30.0, m)
+    fused = np.einsum("ij,i->j", term, d, optimize=False)
+    assert fused.tobytes() == (term * d[:, None]).sum(axis=0).tobytes()

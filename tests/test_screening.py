@@ -177,12 +177,17 @@ class TestScreen:
         assert default_cutoff(60) > 8
         assert screen(data).d_n == 8
 
-    def test_dn_out_of_range(self):
+    def test_dn_out_of_range(self, monkeypatch):
+        # refused before any column is scored, under either method
+        def no_scoring(Z, score):
+            raise AssertionError("scored although d_n is out of range")
+
+        monkeypatch.setattr(screening, "_score_chunks", no_scoring)
         data = make_dataset(np.random.default_rng(4), p=6)
         for method in METHODS:
-            with pytest.raises(ValueError, match="d_n"):
+            with pytest.raises(ValueError, match=r"^d_n must be in 1\.\.6, got 0$"):
                 screen(data, d_n=0, method=method)
-            with pytest.raises(ValueError, match="d_n"):
+            with pytest.raises(ValueError, match=r"^d_n must be in 1\.\.6, got 7$"):
                 screen(data, d_n=7, method=method)
 
     @pytest.mark.parametrize("standardize_covariates", [False, True])
