@@ -22,7 +22,8 @@ output.
 ``simulate --jobs`` sets the number of forked worker processes that run
 replications, at most one per replication; where the platform cannot
 fork they run serially. The default is the SURVSCREEN_JOBS environment
-variable when set, otherwise the number of logical cores. Replication
+variable when set, otherwise the number of CPUs the process may run on
+(its affinity mask, as ``taskset`` sets it). Replication
 streams are fixed by (seed, replication index), so --jobs never changes
 output bytes. ``screen`` uses that default too: a dataset file of at least
 ``dataio.SPLIT_BYTES`` is read, and a screen of at least
@@ -175,7 +176,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument(
         "--jobs", type=int, default=None,
         help="forked worker processes that run replications, at most one per "
-        f"replication (default ${JOBS_ENV_VAR} or logical cores)",
+        f"replication (default ${JOBS_ENV_VAR} or the CPUs this process may use)",
     )
     p_sim.add_argument(
         "--method", choices=METHODS, default="hsic", help="screening utility"

@@ -158,13 +158,14 @@ def default_cutoff(n: int) -> int:
 
 
 def standardize_columns(Z: np.ndarray) -> np.ndarray:
-    """Center each column and scale to unit sd; zero-variance columns stay centered."""
+    """Center each column and scale to unit sd; a zero sd leaves it centered, a non-finite one NaN."""
     Z = np.asarray(Z, dtype=np.float64)
     mu = Z.mean(axis=0)
     sd = Z.std(axis=0, ddof=1)
     out = Z - mu
     nonzero = sd > 0
     out[:, nonzero] /= sd[nonzero]
+    out[:, ~np.isfinite(sd)] = np.nan
     return out
 
 
@@ -186,20 +187,19 @@ def screen(
 
     ``method="dc"`` ranks ``dc_utility`` instead and ignores both kernel
     specs. Any method outside ``METHODS``, or a ``d_n`` outside 1..p,
-    raises ValueError before any scoring. A covariate whose HSIC utility
-    is not finite (its kernel values overflow once weighted) raises
-    DegenerateDataError naming it, as z1, z2, ... in column order.
+    raises ValueError before any scoring. Under either method, a covariate
+    whose utility is not finite (its kernel values, dVar or sd overflow)
+    raises DegenerateDataError naming it, as z1, z2, ... in column order.
 
-    No covariate Gram is formed: the columns are swept in chunks of
-    ``CHUNK_COLUMNS``, so memory is the one n x n response matrix plus a
+    No covariate Gram is formed, and no standardized copy of the table:
+    ``_score_chunks`` copies, standardizes and scores ``CHUNK_COLUMNS``
+    columns at a time, so memory is the one n x n response matrix plus a
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
-    column, whatever the other columns are; results land at fixed
-    positions, so any split over columns reproduces the serial output.
-    From ``SPLIT_ENTRIES`` (n^2 p / 2) the chunks are scored by
-    ``workers.default_jobs()`` forked workers, each of which shares the
-    caller's response matrix and holds a few slabs of its own; set
-    SURVSCREEN_JOBS=1 to score in the calling process, for example from a
-    threaded program.
+    column, whatever the other columns are, so any split over columns
+    reproduces the serial output. From ``SPLIT_ENTRIES`` (n^2 p / 2) the
+    chunks are scored by ``workers.default_jobs()`` forked workers, each
+    sharing the caller's response matrix; set SURVSCREEN_JOBS=1 to score
+    in the calling process, for example from a threaded program.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -207,42 +207,36 @@ def screen(
     if method == "dc":
         omega = dc_utility(data, standardize_covariates=standardize_covariates)
         return rank_utilities(omega, data.n, d_n)
-    Z, y = _covariates_and_response(data, standardize_covariates)
-    W = _upper_weights(center(gram(y, spec_y)))
+    W = _upper_weights(center(gram(_response(data), spec_y)))
     terms = _terms(spec_z)
 
     def score(z):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-            value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
+        value = _sweep(z, W, *terms) / ((data.n - 1) * (data.n - 1))
         return np.where(value < 0.0, 0.0, value)
 
-    omega = _score_chunks(Z, score)
-    overflowed = np.flatnonzero(~np.isfinite(omega))
-    if overflowed.size:
-        raise DegenerateDataError(
-            f"the HSIC utility of covariate z{overflowed[0] + 1} is not finite: "
-            "its weighted kernel values overflow double precision"
-        )
+    omega = _score_chunks(data.covariates, score, method, standardize_covariates)
     return rank_utilities(omega, data.n, d_n)
 
 
-def _covariates_and_response(data: SurvivalDataset, standardize_covariates: bool):
-    """The covariate matrix to score and the standardized (time, status) response."""
+def _response(data: SurvivalDataset) -> np.ndarray:
+    """The standardized (time, status) response of a dataset with covariates."""
     if data.p == 0:
         raise ValueError("covariate matrix has zero columns")
-    y = standardize(data.times, data.status).y
-    return (standardize_columns(data.covariates) if standardize_covariates else data.covariates), y
+    return standardize(data.times, data.status).y
 
 
-def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
-    """One value per column of ``Z``, from ``score`` over chunks of ``CHUNK_COLUMNS``.
+def _score_chunks(Z: np.ndarray, score, method: str, standardize_covariates: bool) -> np.ndarray:
+    """One ``method`` utility per column of ``Z``, from ``score`` over chunks
+    of ``CHUNK_COLUMNS``; DegenerateDataError names the first that is not finite.
 
-    ``score`` gets each chunk copied into a C-contiguous (n, w) array and
+    Each chunk is copied into a C-contiguous (n, w) array, standardized by
+    ``standardize_columns`` when asked, and handed to ``score``, which
     returns w values. A lone column is padded with a zero column, because
     numpy sums an (m, 1) array over axis 0 pairwise rather than in row
     order. ``Z`` is only read. From ``SPLIT_ENTRIES`` response-matrix
-    entries swept the chunks go to ``default_jobs()`` forked workers; each
-    value lands at its column's position, so the bits are the serial ones.
+    entries swept the chunks go to ``default_jobs()`` forked workers, which
+    inherit the map's silenced floating-point warnings; each value lands at
+    its column's position, so the bits are the serial ones.
     """
     n, p = Z.shape
 
@@ -250,10 +244,18 @@ def _score_chunks(Z: np.ndarray, score) -> np.ndarray:
         width = min(CHUNK_COLUMNS, p - start)
         z = np.zeros((n, max(2, width)))
         z[:, :width] = Z[:, start : start + width]
-        return score(z)[:width]
+        return score(standardize_columns(z) if standardize_covariates else z)[:width]
 
     jobs = default_jobs() if n * n * p / 2 >= SPLIT_ENTRIES else 1
-    return np.concatenate(fork_map(chunk, [(start,) for start in range(0, p, CHUNK_COLUMNS)], jobs))
+    with np.errstate(all="ignore"):  # a non-finite utility is refused below
+        omega = np.concatenate(fork_map(chunk, [(s,) for s in range(0, p, CHUNK_COLUMNS)], jobs))
+    overflowed = np.flatnonzero(~np.isfinite(omega))
+    if overflowed.size:
+        raise DegenerateDataError(
+            f"the {method.upper()} utility of covariate z{overflowed[0] + 1} is not finite: "
+            "its values overflow double precision"
+        )
+    return omega
 
 
 def rank_utilities(omega: np.ndarray, n: int, d_n: int | None = None) -> ScreenResult:
@@ -291,12 +293,11 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     (Huo & Szekely 2016): ||center(A)||^2 / n^2 = mean(A^2) - 2 mean(m^2)
     + g^2, where mean(A^2) = 2 var(z) (ddof=0), and m comes from one sort
     and one cumulative sum of the centred column, O(n log n) per column.
-    Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1];
-    covariates with zero distance variance score 0.
+    Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1], 0 for
+    a zero distance variance; one that overflows raises, as in ``screen``.
     """
-    Z, y = _covariates_and_response(data, standardize_covariates)
     n = data.n
-    B = center(np.sqrt(_pairwise(y, np.subtract, np.square)))
+    B = center(np.sqrt(_pairwise(_response(data), np.subtract, np.square)))
     dvar_y = float(np.square(B).sum()) / (n * n)
     if dvar_y <= 0.0:
         return np.zeros(data.p)
@@ -311,8 +312,7 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
         c = np.cumsum(x, axis=0)
         m = (weight * x + c[-1] - 2.0 * c) / n
         dvar_x = 2.0 * x.var(axis=0) - 2.0 * np.square(m).mean(axis=0) + np.square(m.mean(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = dcov2 / np.sqrt(dvar_x * dvar_y)
-        return np.where(dvar_x > 0.0, np.sqrt(np.clip(r2, 0.0, 1.0)), 0.0)
+        r = np.where(dvar_x > 0.0, np.sqrt(np.clip(dcov2 / np.sqrt(dvar_x * dvar_y), 0.0, 1.0)), 0.0)
+        return np.where(np.isfinite(dvar_x), r, np.nan)  # refused, not ranked last
 
-    return _score_chunks(Z, score)
+    return _score_chunks(data.covariates, score, "dc", standardize_covariates)

@@ -9,8 +9,10 @@ result pickled, numpy buffers out of band. A fork costs a few milliseconds
 where a pool costs tens, so a single ``screen`` can afford one.
 
 ``default_jobs`` is the one worker-count policy: ``$SURVSCREEN_JOBS`` when
-set, otherwise the logical core count, and 1 inside a worker, so work that
-is already split is not split again.
+set, otherwise the number of CPUs this process may run on (its affinity
+mask, so ``taskset`` or a pinned job is respected; the logical core count
+where the platform has no mask), and 1 inside a worker, so work that is
+already split is not split again.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ _in_worker = False
 
 
 def default_jobs() -> int:
-    """$SURVSCREEN_JOBS when set, else the logical core count, and 1 inside a
-    ``fork_map`` worker; ValueError if the variable is not a positive integer."""
+    """$SURVSCREEN_JOBS when set, else the CPUs this process may use, and 1 inside
+    a ``fork_map`` worker; ValueError if the variable is not a positive integer."""
     if _in_worker:
         return 1
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         jobs = int(raw)

@@ -509,7 +509,8 @@ def _error_fixtures(tmp_path):
     (tmp_path / "tiny.csv").write_text(
         "time,status,z1\n1e-320,1,0.1\n2e-320,0,0.2\n3e-320,1,0.3\n4e-320,0,0.4\n"
     )
-    # z2's linear-kernel products are finite (about 1e308) but overflow once weighted
+    # z2's linear-kernel products are finite (about 1e308) but overflow once weighted,
+    # and its variance (so its sd and its dVar) overflows
     (tmp_path / "overflow.csv").write_text(
         "time,status,z1,z2\n1.0,1,0.1,1e154\n2.0,0,0.2,-1e154\n3.0,1,0.3,1e154\n"
         "4.0,0,0.4,-1e154\n5.0,1,0.5,1e154\n"
@@ -566,6 +567,18 @@ CLI_ERRORS = {
     ),
     "screen_linear_kernel_overflows": (
         "screen --input {t}/overflow.csv --out {t}/o.csv --kernel linear", {}, 3, "covariate z2"
+    ),
+    "screen_dc_overflows": (
+        "screen --input {t}/overflow.csv --out {t}/o.csv --method dc", {}, 3,
+        "DC utility of covariate z2",
+    ),
+    "screen_standardized_overflows": (
+        "screen --input {t}/overflow.csv --out {t}/o.csv --standardize-covariates", {}, 3,
+        "HSIC utility of covariate z2",
+    ),
+    "screen_dc_standardized_overflows": (
+        "screen --input {t}/overflow.csv --out {t}/o.csv --method dc --standardize-covariates",
+        {}, 3, "DC utility of covariate z2",
     ),
     "screen_dn_zero": ("screen --input {t}/d.csv --out {t}/o.csv --dn 0", {}, 4, None),
     "screen_dn_above_p": ("screen --input {t}/d.csv --out {t}/o.csv --dn 6 --method dc", {}, 4, None),

@@ -1,10 +1,13 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from survscreen import screening
+from survscreen import screening, workers
 from survscreen.exceptions import (
+    DegenerateDataError,
     DegenerateStatusError,
     DegenerateTimesError,
     ValidationError,
@@ -179,7 +182,7 @@ class TestScreen:
 
     def test_dn_out_of_range(self, monkeypatch):
         # refused before any column is scored, under either method
-        def no_scoring(Z, score):
+        def no_scoring(*args):
             raise AssertionError("scored although d_n is out of range")
 
         monkeypatch.setattr(screening, "_score_chunks", no_scoring)
@@ -261,17 +264,43 @@ class TestScreen:
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.ranking, b.ranking)
 
-    def test_standardize_covariates_flag_matches_prescaled_data(self):
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n, p", [(50, 5), (200, 513)])
+    def test_standardize_covariates_flag_matches_prescaled_data(self, n, p, method):
+        # p=513 ends on a padded lone column, and at n=200 it crosses
+        # SPLIT_ENTRIES, so its chunks are standardized in forked workers.
         rng = np.random.default_rng(12)
-        data = make_dataset(rng, n=50, p=5)
+        data = make_dataset(rng, n=n, p=p)
+        data.covariates *= 10.0 ** rng.uniform(-30, 30, p)
         scaled = SurvivalDataset(
             times=data.times,
             status=data.status,
             covariates=standardize_columns(data.covariates),
         )
-        a = screen(data, standardize_covariates=True)
-        b = screen(scaled)
-        assert np.array_equal(a.omega, b.omega)
+        a = screen(data, method=method, standardize_covariates=True)
+        b = screen(scaled, method=method)
+        assert a.omega.tobytes() == b.omega.tobytes()
+
+    def test_standardized_column_bits_do_not_depend_on_the_other_columns(self):
+        # A lone column is standardized in a padded chunk, so it sums in row
+        # order as it does among other columns.
+        data = make_dataset(np.random.default_rng(26), n=40, p=3)
+        whole = screen(data, standardize_covariates=True).omega
+        for k in range(data.p):
+            sub = SurvivalDataset(data.times, data.status, data.covariates[:, [k]])
+            assert screen(sub, standardize_covariates=True).omega[0] == whole[k]
+
+    def test_standardized_screen_holds_no_copy_of_the_table(self, monkeypatch):
+        monkeypatch.setenv(workers.JOBS_ENV_VAR, "1")
+        data = make_dataset(np.random.default_rng(27), n=200, p=4000)
+        for method in METHODS:
+            tracemalloc.start()
+            try:
+                screen(data, method=method, standardize_covariates=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < data.covariates.nbytes, (method, peak / data.covariates.nbytes)
 
     def test_degenerate_status_propagates(self):
         rng = np.random.default_rng(13)
@@ -331,6 +360,38 @@ def test_column_bits_do_not_depend_on_block_budget(monkeypatch, method):
         assert np.array_equal(utilities(data.covariates[:, ::-1])[::-1], reference)
         for k in range(data.p):
             assert np.array_equal(utilities(data.covariates[:, [k]]), reference[[k]])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_covariate_is_refused_from_a_forked_worker(monkeypatch, capfd, method):
+    # n=200, p=600 crosses SPLIT_ENTRIES, and z401 lies in the second chunk,
+    # which a forked worker scores under the map's silenced warnings.
+    monkeypatch.setenv(workers.JOBS_ENV_VAR, "2")
+    jobs = []
+    fork_map = screening.fork_map
+    monkeypatch.setattr(screening, "fork_map", lambda *a: jobs.append(a[2]) or fork_map(*a))
+    data = make_dataset(np.random.default_rng(28), n=200, p=600)
+    data.covariates[:, 400] = np.where(np.arange(200) % 2, -1e154, 1e154)
+    linear = KernelSpec("linear", 1.0)
+    message = f"^the {method.upper()} utility of covariate z401 is not finite"
+    with pytest.raises(DegenerateDataError, match=message):
+        screen(data, linear, linear, method=method)
+    assert jobs == [2]
+    assert capfd.readouterr().err == ""
+
+
+def test_one_usable_cpu_scores_a_split_sized_screen_in_one_job(monkeypatch):
+    # Under `taskset -c 0` the host still has two cores; nothing is forked here.
+    monkeypatch.delenv(workers.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    jobs = []
+    monkeypatch.setattr(
+        screening, "fork_map", lambda fn, tasks, j: jobs.append(j) or [fn(*t) for t in tasks]
+    )
+    data = make_dataset(np.random.default_rng(29), n=200, p=500)
+    assert data.n * data.n * data.p / 2 >= screening.SPLIT_ENTRIES
+    screen(data)
+    assert jobs == [1]
 
 
 @pytest.mark.parametrize("standardize_covariates", [False, True])

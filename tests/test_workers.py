@@ -100,9 +100,20 @@ class TestForkMap:
 class TestDefaultJobs:
     def test_environment_variable_or_core_count(self, monkeypatch):
         monkeypatch.delenv(workers.JOBS_ENV_VAR, raising=False)
-        assert default_jobs() == (os.cpu_count() or 1)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert default_jobs() == usable
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "3")
         assert default_jobs() == 3
+
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        # Under `taskset -c 0` the host still has all its cores, but the
+        # process may run on one of them. Nothing is forked here.
+        monkeypatch.delenv(workers.JOBS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_jobs() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_jobs() == 8
 
     @pytest.mark.parametrize("raw", ["zero", "0", "-2", ""])
     def test_bad_value_named(self, monkeypatch, raw):
