@@ -27,8 +27,8 @@ variable when set, otherwise the number of CPUs the process may run on
 streams are fixed by (seed, replication index), so --jobs never changes
 output bytes. ``screen`` uses that default too: a dataset file of at least
 ``dataio.SPLIT_BYTES`` is read, and a screen of at least
-``screening.SPLIT_ENTRIES`` scored, by that many forked workers, with the
-bytes of one process. Both commands refuse a SURVSCREEN_JOBS that is not a
+``screening.SPLIT_ENTRIES`` scored, by that many forked workers (at most
+the CPUs it may run on), with the bytes of one process. Both commands refuse a SURVSCREEN_JOBS that is not a
 positive integer (exit 4) before any work.
 """
 

@@ -43,7 +43,7 @@ from .evaluate import EvalSummary, ReplicationRecord
 from .exceptions import ParseError, ValidationError
 from .screening import ScreenResult, SurvivalDataset
 from .simulate import SimScenario
-from .workers import default_jobs, fork_map
+from .workers import fork_map, split_jobs
 
 _RANK_COL = re.compile(r"rank_z([1-9][0-9]*)$")
 _STATUS_01 = re.compile(r"[^,]*,[01],")
@@ -51,7 +51,7 @@ _STATUS_01 = re.compile(r"[^,]*,[01],")
 #: Characters of dataset rows cast by one ``np.loadtxt`` call.
 BLOCK_CHARS = 1 << 20
 
-#: Dataset files of at least this many bytes are cast by ``default_jobs()``
+#: Dataset files of at least this many bytes are cast by ``split_jobs()``
 #: forked workers. Two workers against one on a 2-vCPU host, medians of
 #: 5-15 alternating reads at n=200: 1.0 MiB 31 -> 33 ms, 1.25 MiB even,
 #: 2 MiB 54 -> 43 ms, 7.5 MiB 237 -> 140 ms, 37.5 MiB 1.14 -> 0.64 s. No
@@ -142,7 +142,7 @@ def read_dataset(path) -> SurvivalDataset:
     its rows, as if it had been decoded whole.
 
     A file of at least ``SPLIT_BYTES`` is cut at line ends into byte ranges
-    that ``default_jobs()`` forked workers cast (see ``_read_split``); the
+    that ``split_jobs()`` forked workers cast (see ``_read_split``); the
     table, and any error, is the one a read in this process gives. Memory
     is the n x (p+2) table twice, while the blocks or the workers' pieces
     are joined, plus one block; each worker holds its piece twice and one
@@ -207,7 +207,7 @@ def _read_split(path) -> np.ndarray | None:
     """The table cast by forked workers over byte ranges of the file, or None
     when the file is read in this process instead.
 
-    That is when the file is below ``SPLIT_BYTES``, ``default_jobs()`` is 1,
+    That is when the file is below ``SPLIT_BYTES``, ``split_jobs()`` is 1,
     the first line is anything but one valid header, or a worker raises.
     The ranges start and end at LFs, and each worker streams its own through
     ``_cast_rows``, so no process holds the file's text. A row's values do
@@ -218,7 +218,7 @@ def _read_split(path) -> np.ndarray | None:
         size = os.path.getsize(path)
     except OSError:
         return None
-    jobs = default_jobs() if size >= SPLIT_BYTES else 1
+    jobs = split_jobs() if size >= SPLIT_BYTES else 1
     if jobs == 1:
         return None
     try:

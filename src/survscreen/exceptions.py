@@ -26,8 +26,9 @@ class ValidationError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Data admits no screening (a zero-variance response component, or an
-    HSIC utility that overflows double precision)."""
+    """Data admits no screening (a zero-variance response component, or a
+    covariate whose utility under either method is not finite: its kernel
+    values, dVar or sd overflow)."""
 
 
 class DegenerateStatusError(DegenerateDataError):

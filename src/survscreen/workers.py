@@ -5,14 +5,15 @@ threads barely overlap them; processes do. ``fork_map`` forks its workers
 straight from the caller, with no process pool: each inherits the caller's
 memory (the function, its tasks, the calibration cache, any patched name),
 is handed task indices one at a time over a pipe, and sends back each
-result pickled, numpy buffers out of band. A fork costs a few milliseconds
-where a pool costs tens, so a single ``screen`` can afford one.
+result pickled. A fork costs a few milliseconds where a pool costs tens,
+so a single ``screen`` can afford one.
 
 ``default_jobs`` is the one worker-count policy: ``$SURVSCREEN_JOBS`` when
 set, otherwise the number of CPUs this process may run on (its affinity
 mask, so ``taskset`` or a pinned job is respected; the logical core count
 where the platform has no mask), and 1 inside a worker, so work that is
-already split is not split again.
+already split is not split again. The reader's and the scorer's automatic
+splits take ``split_jobs``, which caps it at those CPUs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 JOBS_ENV_VAR = "SURVSCREEN_JOBS"
 
-_SIZE = struct.Struct("<Q")
+_INDEX = struct.Struct("<Q")
 _ABRUPT = "a worker process ended abruptly (killed by a signal or out of memory)"
 
 #: True in a process that ``fork_map`` forked; set there and nowhere else.
@@ -38,9 +39,7 @@ def default_jobs() -> int:
         return 1
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         jobs = int(raw)
     except ValueError:
@@ -48,6 +47,16 @@ def default_jobs() -> int:
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
     return jobs
+
+
+def split_jobs() -> int:
+    """The workers of an automatic split: ``default_jobs()``, but at most the
+    CPUs this process may use, whatever $SURVSCREEN_JOBS asks for."""
+    return min(default_jobs(), _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
@@ -79,13 +88,15 @@ def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
     def hand_next(child: _Child) -> None:
         nonlocal handed
         if not errors and handed < len(tasks):
-            if child.hand(handed):
+            try:
+                child.tasks.write(_INDEX.pack(handed))
+                child.task = handed
                 busy.register(child.results, select.POLLIN)
-            else:
+            except BrokenPipeError:  # the worker is gone
                 errors[handed] = OSError(_ABRUPT)
             handed += 1
         if child.task is None:
-            child.stop()
+            child.tasks.close()  # which the worker reads as the end of its work
 
     sys.stdout.flush()
     sys.stderr.flush()
@@ -94,24 +105,24 @@ def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
             children.append(_Child(fn, tasks, children))
         for child in children:
             hand_next(child)
-        by_fd = {child.results: child for child in children}
+        by_fd = {child.results.fileno(): child for child in children}
         while any(child.task is not None for child in children):
+            # A pipe has at most one result in flight, since a worker writes
+            # nothing until it is handed its next index; so each ``load``
+            # leaves its file's buffer empty, and poll sees every result.
             for fd, _ in busy.poll():
                 child = by_fd[fd]
                 busy.unregister(fd)
                 try:
-                    ok, value = child.receive()
-                except EOFError:
+                    ok, value = pickle.load(child.results)
+                except (EOFError, pickle.UnpicklingError):  # the worker died before or mid-write
                     ok, value = False, OSError(_ABRUPT)
-                if ok:
-                    results[child.task] = value
-                else:
-                    errors[child.task] = value
+                (results if ok else errors)[child.task] = value
                 child.task = None
                 hand_next(child)
     finally:
         for child in children:
-            child.close(kill=child.task is not None)
+            child.wait(kill=child.task is not None)
     if errors:
         raise errors[min(errors)]
     return results
@@ -119,58 +130,41 @@ def fork_map(fn, tasks: list[tuple], jobs: int) -> list:
 
 class _Child:
     """One forked worker and the caller's ends of its two pipes: task indices
-    go down ``tasks``, pickled results come back up ``results``."""
+    go down the unbuffered ``tasks``, pickled results up the buffered ``results``."""
 
     def __init__(self, fn, tasks, siblings):
-        task_r, self.tasks = os.pipe()
-        self.results, result_w = os.pipe()
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        self.tasks = os.fdopen(task_w, "wb", buffering=0)
+        self.results = os.fdopen(result_r, "rb")
         self.task = None
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (task_r, self.tasks, self.results, result_w):
-                os.close(fd)
+            self.close()
+            os.close(task_r)
+            os.close(result_w)
             raise
         if self.pid == 0:
             code = 1
             try:
-                for fd in [self.tasks, self.results] + [
-                    fd for sibling in siblings for fd in (sibling.tasks, sibling.results)
-                ]:
-                    os.close(fd)
-                _serve(fn, tasks, task_r, result_w)
+                for child in [self, *siblings]:
+                    child.close()
+                _serve(fn, tasks, os.fdopen(task_r, "rb", buffering=0), os.fdopen(result_w, "wb"))
                 code = 0
             finally:
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
 
-    def hand(self, index: int) -> bool:
-        """Send task ``index``; False when the worker is gone."""
-        try:
-            _write_all(self.tasks, _SIZE.pack(index))
-        except BrokenPipeError:
-            return False
-        self.task = index
-        return True
+    def close(self) -> None:
+        """Close the caller's ends of both pipes."""
+        self.tasks.close()
+        self.results.close()
 
-    def receive(self):
-        """The worker's ``(ok, value)`` for its task; EOFError if it ended first."""
-        count = _SIZE.unpack(_read_exact(self.results, _SIZE.size))[0]
-        sizes = _SIZE.iter_unpack(_read_exact(self.results, _SIZE.size * count))
-        segments = [_read_exact(self.results, size) for (size,) in sizes]
-        return pickle.loads(segments[0], buffers=segments[1:])
-
-    def stop(self) -> None:
-        """Close the task pipe, which the worker reads as the end of its work."""
-        if self.tasks is not None:
-            os.close(self.tasks)
-            self.tasks = None
-
-    def close(self, kill: bool) -> None:
-        """Release both pipes and wait for the worker, killing it first if ``kill``."""
-        self.stop()
-        os.close(self.results)
+    def wait(self, kill: bool) -> None:
+        """Close both pipes and wait for the worker, killing it first if ``kill``."""
+        self.close()
         if kill:
             import signal
 
@@ -178,28 +172,20 @@ class _Child:
         os.waitpid(self.pid, 0)
 
 
-def _serve(fn, tasks, task_r: int, result_w: int) -> None:
-    """A worker's loop: run each task index read from ``task_r`` and write its
-    ``(ok, value)`` to ``result_w``, until the caller closes ``task_r``."""
+def _serve(fn, tasks, task_file, result_file) -> None:
+    """A worker's loop: run each task index read from ``task_file`` and write its
+    pickled ``(ok, value)`` to ``result_file``, until the caller closes the task pipe."""
     global _in_worker
     _in_worker = True
-    while True:
+    while index := task_file.read(_INDEX.size):
+        task = tasks[_INDEX.unpack(index)[0]]
         try:
-            index = _SIZE.unpack(_read_exact(task_r, _SIZE.size))[0]
-        except EOFError:
-            return
-        buffers: list = []
-        try:
-            payload = pickle.dumps(
-                (True, fn(*tasks[index])), protocol=5, buffer_callback=buffers.append
-            )
+            # Pickled whole first, so a result that fails to pickle writes nothing.
+            payload = pickle.dumps((True, fn(*task)), protocol=5)
         except Exception as exc:  # raised again in the caller, in task order
-            buffers = []
             payload = _pickled_error(exc)
-        segments = [payload] + [buffer.raw() for buffer in buffers]
-        header = b"".join(_SIZE.pack(size) for size in [len(segments), *map(len, segments)])
-        for segment in [header, *segments]:
-            _write_all(result_w, segment)
+        result_file.write(payload)
+        result_file.flush()
 
 
 def _pickled_error(exc: Exception) -> bytes:
@@ -207,23 +193,3 @@ def _pickled_error(exc: Exception) -> bytes:
         return pickle.dumps((False, exc))
     except Exception:
         return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
-def _read_exact(fd: int, size: int) -> bytearray:
-    """``size`` bytes from ``fd``; EOFError if it closes before the first
-    byte or within them."""
-    data = bytearray(size)
-    view = memoryview(data)
-    done = 0
-    while done < size:
-        got = os.readv(fd, [view[done:]])
-        if got == 0:
-            raise EOFError
-        done += got
-    return data
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view) :]

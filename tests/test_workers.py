@@ -1,10 +1,13 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
-from survscreen import workers
-from survscreen.workers import default_jobs, fork_map
+from survscreen import dataio, screening, workers
+from survscreen.dataio import read_dataset, write_dataset
+from survscreen.screening import SurvivalDataset, screen
+from survscreen.workers import default_jobs, fork_map, split_jobs
 
 ABRUPT = "a worker process ended abruptly"
 
@@ -96,6 +99,43 @@ class TestForkMap:
         assert fork_map(lambda: os.getpid(), [()], 4) == [caller]
         assert fork_map(lambda: os.getpid(), [(), ()], 1) == [caller, caller]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("ending", ["returns", "raises", "exits"])
+    def test_every_descriptor_is_closed_however_the_map_ends(self, ending):
+        def task(i):
+            if i == 2 and ending == "raises":
+                raise KeyError("task 2")
+            if i == 2 and ending == "exits":
+                os._exit(9)
+            return i
+
+        before = sorted(os.listdir("/proc/self/fd"))
+        if ending == "returns":
+            assert fork_map(task, [(i,) for i in range(6)], 2) == list(range(6))
+        else:
+            with pytest.raises(KeyError if ending == "raises" else OSError):
+                fork_map(task, [(i,) for i in range(6)], 2)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
+
+    def test_results_larger_than_the_pipe_and_file_buffers_come_back_bit_identical(self):
+        # 8 MiB each, far above a 64 KiB pipe and an 8 KiB file buffer.
+        def task(i):
+            return np.random.default_rng(i).standard_normal(1 << 20)
+
+        results = fork_map(task, [(i,) for i in range(4)], 2)
+        assert [r.tobytes() for r in results] == [task(i).tobytes() for i in range(4)]
+        assert_no_child_left()
+
+    def test_fortran_ordered_result_keeps_its_order_and_values(self):
+        def task(i):
+            return np.asfortranarray(np.random.default_rng(i).standard_normal((300, 7)))
+
+        for i, result in enumerate(fork_map(task, [(0,), (1,)], 2)):
+            assert result.flags.f_contiguous and not result.flags.c_contiguous
+            assert result.tobytes(order="A") == task(i).tobytes(order="A")
+        assert_no_child_left()
+
 
 class TestDefaultJobs:
     def test_environment_variable_or_core_count(self, monkeypatch):
@@ -120,3 +160,48 @@ class TestDefaultJobs:
         monkeypatch.setenv(workers.JOBS_ENV_VAR, raw)
         with pytest.raises(ValueError, match=f"must be a positive integer, got {raw!r}"):
             default_jobs()
+
+
+class TestSplitJobs:
+    def test_at_most_the_usable_cpus_whatever_the_variable_asks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv(workers.JOBS_ENV_VAR, "64")
+        assert (default_jobs(), split_jobs()) == (64, 2)
+        monkeypatch.setenv(workers.JOBS_ENV_VAR, "1")
+        assert (default_jobs(), split_jobs()) == (1, 1)
+        monkeypatch.delenv(workers.JOBS_ENV_VAR)
+        assert (default_jobs(), split_jobs()) == (2, 2)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_read_and_score_of_a_split_sized_input_take_at_most_the_usable_cpus(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # SURVSCREEN_JOBS asks for 64 workers and both cuts are 0, so even
+        # this small file would split. Nothing is forked: the spies run each
+        # task in the caller, and os.fork fails the test.
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setenv(workers.JOBS_ENV_VAR, "64")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
+        handed = {}
+        for module in (dataio, screening):
+            def spy(fn, tasks, jobs, name=module.__name__):
+                handed[name] = jobs
+                return [fn(*task) for task in tasks]
+
+            monkeypatch.setattr(module, "fork_map", spy)
+        rng = np.random.default_rng(3)
+        data = SurvivalDataset(rng.random(40), np.arange(40) % 2, rng.standard_normal((40, 600)))
+        write_dataset(tmp_path / "d.csv", data)
+        back = read_dataset(tmp_path / "d.csv")
+        screen(back)
+        assert back.covariates.tobytes() == data.covariates.tobytes()
+        if len(cpus) == 1:
+            # One job reads in this process, so the reader hands fork_map nothing.
+            assert handed == {"survscreen.screening": 1}
+        else:
+            assert handed == {"survscreen.dataio": 2, "survscreen.screening": 2}
