@@ -11,7 +11,8 @@ Three subcommands:
 
 Exit codes: 0 success, 2 parse or validation failure, a file that
 cannot be read or written, a worker process that died, or memory that
-ran out, 3 degenerate data, 4 bad flags, 5 censoring calibration failure.
+ran out, 3 degenerate data, 4 bad flags, 5 censoring calibration failure,
+130 interrupted (SIGINT, as Ctrl-C sends it).
 ``screen`` and ``evaluate`` check that their output paths can be
 written, and name neither the input nor each other (exit 4), before they
 read anything. ``simulate`` refuses a --scenario that lies
@@ -28,8 +29,9 @@ streams are fixed by (seed, replication index), so --jobs never changes
 output bytes. ``screen`` uses that default too: a dataset file of at least
 ``dataio.SPLIT_BYTES`` is read, and a screen of at least
 ``screening.SPLIT_ENTRIES`` scored, by that many forked workers (at most
-the CPUs it may run on), with the bytes of one process. Both commands refuse a SURVSCREEN_JOBS that is not a
-positive integer (exit 4) before any work.
+the CPUs it may run on), with the bytes of one process. Both commands
+refuse a SURVSCREEN_JOBS that is not a positive integer (exit 4) before
+any work.
 """
 
 from __future__ import annotations
@@ -352,6 +354,10 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"survscreen: error: {exc}", file=sys.stderr)
         return 5
+    except KeyboardInterrupt:
+        # The workers fork_map started have been killed and reaped by now.
+        print("survscreen: error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -22,12 +22,14 @@ recording versions, input digests, parameters, and seeds.
 Files are read as a stream of lines, split as ``str.splitlines`` splits
 the whole text, and hashed in 1 MiB reads: reading a dataset holds its
 n x (p+2) table and about ``BLOCK_CHARS`` of text, never the whole file.
-A dataset of at least ``SPLIT_BYTES`` is read by forked workers, each
-streaming its own byte range of the file.
+A dataset is cast as byte ranges through one ``fork_map`` call: one range,
+in this process, below ``SPLIT_BYTES``; from there several, each streamed
+by a forked worker.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -133,43 +135,58 @@ def write_dataset(path, dataset: SurvivalDataset) -> None:
 def read_dataset(path) -> SurvivalDataset:
     """Parse and validate a dataset CSV; errors carry 1-based line/column.
 
-    Rows are cast in blocks of about ``BLOCK_CHARS`` characters, each by one
+    The header is read first. The file is then cut at LFs into byte ranges
+    that one ``fork_map`` call casts: one range, cast in this process, when
+    the file is below ``SPLIT_BYTES`` or ``split_jobs()`` is 1, and
+    otherwise ``SPLIT_PIECES_PER_JOB`` ranges per worker. A range's rows are
+    cast in blocks of about ``BLOCK_CHARS`` characters, each by one
     ``np.loadtxt`` call, which parses a field as ``float()`` does. A block
     is kept when every row has p + 2 fields, a status of exactly ``0`` or
     ``1``, a nonnegative time and finite values; any other block goes row by
     row through ``_check_row``, so the error names the file's first bad
-    field. A file that is not UTF-8 is reported as such before any error in
-    its rows, as if it had been decoded whole.
+    field. A row's values do not depend on its block or range, so the table
+    is the same for every cut; an error's line number would, so a split cast
+    that raises is cast again as one range. A file that is not UTF-8 is
+    reported as such before any error in its header or rows, as if it had
+    been decoded whole.
 
-    A file of at least ``SPLIT_BYTES`` is cut at line ends into byte ranges
-    that ``split_jobs()`` forked workers cast (see ``_read_split``); the
-    table, and any error, is the one a read in this process gives. Memory
-    is the n x (p+2) table twice, while the blocks or the workers' pieces
-    are joined, plus one block; each worker holds its piece twice and one
-    block.
+    Memory is the n x (p+2) table twice, while the blocks or the ranges are
+    joined, plus one block; each worker holds its range twice and one block.
     """
-    table = _read_split(path)
-    if table is None:
-        lines = _text_lines(path)
+    lines = _text_lines(path)
+    try:
+        header = next(lines, None)
+        if header is None:
+            raise ParseError(1, 1, "empty file")
+        p = _header_width(header)
+        size = os.path.getsize(path)
+        jobs = split_jobs() if size >= SPLIT_BYTES else 1
+        pieces = 1 if jobs == 1 else jobs * SPLIT_PIECES_PER_JOB
+        cuts = {0, size}
+        with open(path, "rb") as fh:
+            for k in range(1, pieces):
+                fh.seek(size * k // pieces)
+                fh.readline()
+                cuts.add(fh.tell())
+        ranges = list(itertools.pairwise(sorted(cuts)))
         try:
-            table = _read_table(lines)
-        except ValueError:
-            for _ in lines:
-                pass
-            raise
+            tables = fork_map(_cast_range, [(path, *r, p) for r in ranges], jobs)
+        except (OSError, ValueError, MemoryError):
+            if len(ranges) == 1:
+                raise
+            tables = [_cast_range(path, 0, size, p)]
+    except ValueError:
+        for _ in lines:
+            pass
+        raise
+    finally:
+        lines.close()
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables)
     return SurvivalDataset(
         times=table[:, 0],
         status=table[:, 1].astype(np.int8),
         covariates=table[:, 2:],
     )
-
-
-def _read_table(lines) -> np.ndarray:
-    """The (rows, p + 2) values under a checked ``time,status,z1,...,zp`` header."""
-    header = next(lines, None)
-    if header is None:
-        raise ParseError(1, 1, "empty file")
-    return _cast_rows(lines, _header_width(header))
 
 
 def _header_width(header: str) -> int:
@@ -187,62 +204,24 @@ def _header_width(header: str) -> int:
     return len(fields) - 2
 
 
-def _cast_rows(lines, p: int, line_no: int = 2) -> np.ndarray:
-    """The (rows, p + 2) values of data rows ``lines``, the first on line ``line_no``."""
+def _cast_range(path, start: int, stop: int, p: int) -> np.ndarray:
+    """The (rows, p + 2) values of the data rows in bytes ``start``..``stop``
+    of the file, numbered from line 2; the range from byte 0 skips the header."""
     blocks = [np.empty((0, p + 2))]
-    block, chars = [], 0
-    for line in lines:
-        block.append(line)
-        chars += len(line)
-        if chars >= BLOCK_CHARS:
-            blocks.append(_cast_block(block, line_no, p))
-            line_no += len(block)
-            block, chars = [], 0
+    block, chars, line_no = [], 0, 2
+    with contextlib.closing(_text_lines(path, start, stop)) as lines:
+        if start == 0:
+            next(lines, None)
+        for line in lines:
+            block.append(line)
+            chars += len(line)
+            if chars >= BLOCK_CHARS:
+                blocks.append(_cast_block(block, line_no, p))
+                line_no += len(block)
+                block, chars = [], 0
     if block:
         blocks.append(_cast_block(block, line_no, p))
     return np.concatenate(blocks)
-
-
-def _read_split(path) -> np.ndarray | None:
-    """The table cast by forked workers over byte ranges of the file, or None
-    when the file is read in this process instead.
-
-    That is when the file is below ``SPLIT_BYTES``, ``split_jobs()`` is 1,
-    the first line is anything but one valid header, or a worker raises.
-    The ranges start and end at LFs, and each worker streams its own through
-    ``_cast_rows``, so no process holds the file's text. A row's values do
-    not depend on the block it is cast in, so the table is the serial one;
-    an error's line number would, so the serial reader reports it.
-    """
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return None
-    jobs = split_jobs() if size >= SPLIT_BYTES else 1
-    if jobs == 1:
-        return None
-    try:
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            header = first.decode("utf-8").splitlines()
-            if len(header) != 1 or len(first) == size:
-                return None
-            p = _header_width(header[0])
-            cuts = {len(first), size}
-            pieces = jobs * SPLIT_PIECES_PER_JOB
-            for k in range(1, pieces):
-                at = len(first) + (size - len(first)) * k // pieces
-                fh.seek(at)
-                cuts.add(at + len(fh.readline()))
-        ranges = list(itertools.pairwise(sorted(cuts)))
-        return np.concatenate(fork_map(_cast_range, [(path, *r, p) for r in ranges], jobs))
-    except (OSError, ValueError, MemoryError):
-        return None
-
-
-def _cast_range(path, start: int, stop: int, p: int) -> np.ndarray:
-    """The values of the data rows in bytes ``start``..``stop`` of the file."""
-    return _cast_rows(_text_lines(path, start, stop), p)
 
 
 def _cast_block(block: list[str], first_line: int, p: int) -> np.ndarray:

@@ -4,8 +4,10 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -772,3 +774,43 @@ def test_worker_killed_mid_run_exits_2_and_leaves_no_process(tmp_path, monkeypat
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="no /proc/<pid>/task/<tid>/children",
+)
+def test_interrupt_of_the_process_group_exits_130_and_leaves_no_process(tmp_path):
+    # Ctrl-C in a terminal sends SIGINT to the whole foreground process
+    # group: here the command and both of its workers. 200 replications at
+    # p = 2000 take several seconds, far longer than the wait below.
+    write_scenario_file(tmp_path / "s.cfg", n=200, p=2000, replications=200)
+    argv = ["simulate", "--scenario", tmp_path / "s.cfg", "--out-dir", tmp_path / "run"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "survscreen", *map(str, argv), "--jobs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        workers = []
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+        assert len(workers) == 2, "the workers never started"
+        time.sleep(0.2)  # past each worker's first bytecodes after the fork
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert stderr.splitlines() == ["survscreen: error: interrupted"]
+    assert not (tmp_path / "run").exists()
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 
@@ -257,6 +258,88 @@ def test_read_dataset_error_type_and_message(tmp_path, defect):
         read_dataset(path)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+@pytest.fixture(params=["one_range", "split"])
+def reader(request, monkeypatch):
+    """The job count ``read_dataset`` should hand ``fork_map``, and a list of the
+    counts it hands: 1 at the default cut, where a small file is one range,
+    or 2 with the cut at 0, where two forked workers cast even a tiny file."""
+    jobs = 1
+    if request.param == "split":
+        jobs = 2
+        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setenv(JOBS_ENV_VAR, "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    handed = []
+
+    def counted(fn, tasks, j):
+        handed.append(j)
+        return fork_map(fn, tasks, j)
+
+    monkeypatch.setattr(dataio, "fork_map", counted)
+    return jobs, handed
+
+
+class TestReadDatasetOnBothPaths:
+    def test_bad_header_then_a_byte_that_is_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"time,stat,z1\n1,1,2\n2,0,\xff\n")
+        with pytest.raises(ValidationError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte at byte 23)"
+        _, handed = reader
+        assert handed == []  # the header fails before any range is cast
+
+    def test_carriage_returns_alone_break_the_lines(self, tmp_path, reader):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"time,status,z1\r1,1,2\r2,0,3\r3,1,4\r")
+        data = read_dataset(path)
+        assert data.times.tolist() == [1.0, 2.0, 3.0]
+        assert data.status.tolist() == [1, 0, 1]
+        assert data.covariates.tolist() == [[2.0], [3.0], [4.0]]
+        jobs, handed = reader
+        assert handed == [jobs]
+
+    def test_error_after_mixed_line_breaks_names_the_file_line(self, tmp_path, reader):
+        # Lines 2 and 3 share the header's physical line, so a range that
+        # starts after it cannot number its rows; the error is the file's.
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"time,status,z1\r1,1,2\r2,0,3\n3,1,4\n4,0,x\n")
+        with pytest.raises(ParseError) as info:
+            read_dataset(path)
+        assert str(info.value) == "line 5, column 3: z1 'x' is not a number"
+        jobs, handed = reader
+        assert handed == [jobs]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("ending", ["returns", "bad_row", "bad_header", "interrupted"])
+    def test_every_descriptor_is_closed_however_the_read_ends(
+        self, tmp_path, monkeypatch, reader, ending
+    ):
+        # One row per block, so the bad row on line 4 raises before line 5 is read.
+        monkeypatch.setattr(dataio, "BLOCK_CHARS", 1)
+        if ending == "interrupted":
+            def interrupted(fn, tasks, jobs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(dataio, "fork_map", interrupted)
+        text = {
+            "bad_row": _with_line_4("3.5,1,0.7,0..8,0.9"),
+            "bad_header": "time,status,z1,z3\n" + "\n".join(_ROWS) + "\n",
+        }.get(ending, "\n".join([_HEADER, *_ROWS]) + "\n")
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        before = sorted(os.listdir("/proc/self/fd"))
+        if ending == "returns":
+            assert read_dataset(path).n == 4
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        else:
+            # The error, and so every frame of its traceback, is still held here.
+            with pytest.raises((ParseError, KeyboardInterrupt)) as info:
+                read_dataset(path)
+            assert sorted(os.listdir("/proc/self/fd")) == before
+            assert info.type is (KeyboardInterrupt if ending == "interrupted" else ParseError)
 
 
 class TestScenarioFile:
@@ -555,6 +638,7 @@ def test_read_dataset_holds_the_table_not_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
     monkeypatch.setattr(dataio, "fork_map", counted)
     monkeypatch.setenv(JOBS_ENV_VAR, "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     back, peak = traced_peak(read_dataset, path)
     assert splits == [2]
     assert back.covariates.tobytes() == data.covariates.tobytes()

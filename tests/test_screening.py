@@ -367,6 +367,7 @@ def test_overflowing_covariate_is_refused_from_a_forked_worker(monkeypatch, capf
     # n=200, p=600 crosses SPLIT_ENTRIES, and z401 lies in the second chunk,
     # which a forked worker scores under the map's silenced warnings.
     monkeypatch.setenv(workers.JOBS_ENV_VAR, "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     jobs = []
     fork_map = screening.fork_map
     monkeypatch.setattr(screening, "fork_map", lambda *a: jobs.append(a[2]) or fork_map(*a))

@@ -201,7 +201,6 @@ class TestSplitJobs:
         screen(back)
         assert back.covariates.tobytes() == data.covariates.tobytes()
         if len(cpus) == 1:
-            # One job reads in this process, so the reader hands fork_map nothing.
-            assert handed == {"survscreen.screening": 1}
+            assert handed == {"survscreen.dataio": 1, "survscreen.screening": 1}
         else:
             assert handed == {"survscreen.dataio": 2, "survscreen.screening": 2}
