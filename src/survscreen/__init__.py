@@ -9,93 +9,69 @@ and a replicated-experiment harness with the usual screening metrics
 (minimum model size, selection proportions) are included.
 """
 
-from .evaluate import (
-    EvalSummary,
-    ReplicationRecord,
-    aggregate,
-    min_model_size,
-    rank_positions,
-    run_experiment,
-    selection_proportions,
-    summarize_records,
-)
-from .exceptions import (
-    CalibrationError,
-    DegenerateDataError,
-    DegenerateStatusError,
-    DegenerateTimesError,
-    InfeasibleTargetError,
-    NoConvergenceError,
-    ParseError,
-    ValidationError,
-)
-from .kernels import GAUSSIAN_DEFAULT, KernelSpec, center, gram, hsic, hsic_pair
-from .screening import (
-    ScreenResult,
-    StandardizedResponse,
-    SurvivalDataset,
-    dc_utility,
-    default_cutoff,
-    screen,
-    standardize,
-)
-from .simulate import (
-    ACTIVE_SETS,
-    GeneratedData,
-    SimScenario,
-    calibrate_censoring,
-    censoring_scale,
-    expected_censoring_rate,
-    generate,
-    model_beta,
-    sample_ar1_normal,
-    sample_cox_time,
-    sample_nonlinear_time,
-    sample_transformation_time,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVE_SETS",
-    "CalibrationError",
-    "DegenerateDataError",
-    "DegenerateStatusError",
-    "DegenerateTimesError",
-    "EvalSummary",
-    "GAUSSIAN_DEFAULT",
-    "GeneratedData",
-    "InfeasibleTargetError",
-    "KernelSpec",
-    "NoConvergenceError",
-    "ParseError",
-    "ReplicationRecord",
-    "ScreenResult",
-    "SimScenario",
-    "StandardizedResponse",
-    "SurvivalDataset",
-    "ValidationError",
-    "aggregate",
-    "calibrate_censoring",
-    "censoring_scale",
-    "expected_censoring_rate",
-    "center",
-    "dc_utility",
-    "default_cutoff",
-    "generate",
-    "gram",
-    "hsic",
-    "hsic_pair",
-    "min_model_size",
-    "model_beta",
-    "rank_positions",
-    "run_experiment",
-    "sample_ar1_normal",
-    "sample_cox_time",
-    "sample_nonlinear_time",
-    "sample_transformation_time",
-    "screen",
-    "selection_proportions",
-    "standardize",
-    "summarize_records",
-]
+#: Each public name and the module it lives in. The modules load on first use
+#: (PEP 562), so ``import survscreen`` loads no numpy: ``python -m
+#: survscreen`` can choose the BLAS thread count before numpy starts its pool.
+_EXPORTS = {
+    "EvalSummary": "evaluate",
+    "ReplicationRecord": "evaluate",
+    "aggregate": "evaluate",
+    "min_model_size": "evaluate",
+    "rank_positions": "evaluate",
+    "run_experiment": "evaluate",
+    "selection_proportions": "evaluate",
+    "summarize_records": "evaluate",
+    "CalibrationError": "exceptions",
+    "DegenerateDataError": "exceptions",
+    "DegenerateStatusError": "exceptions",
+    "DegenerateTimesError": "exceptions",
+    "InfeasibleTargetError": "exceptions",
+    "NoConvergenceError": "exceptions",
+    "ParseError": "exceptions",
+    "ValidationError": "exceptions",
+    "GAUSSIAN_DEFAULT": "kernels",
+    "KernelSpec": "kernels",
+    "center": "kernels",
+    "gram": "kernels",
+    "hsic": "kernels",
+    "hsic_pair": "kernels",
+    "ScreenResult": "screening",
+    "StandardizedResponse": "screening",
+    "SurvivalDataset": "screening",
+    "dc_utility": "screening",
+    "default_cutoff": "screening",
+    "screen": "screening",
+    "standardize": "screening",
+    "ACTIVE_SETS": "simulate",
+    "GeneratedData": "simulate",
+    "SimScenario": "simulate",
+    "calibrate_censoring": "simulate",
+    "censoring_scale": "simulate",
+    "expected_censoring_rate": "simulate",
+    "generate": "simulate",
+    "model_beta": "simulate",
+    "sample_ar1_normal": "simulate",
+    "sample_cox_time": "simulate",
+    "sample_nonlinear_time": "simulate",
+    "sample_transformation_time": "simulate",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 parse or validation failure, a file that
 cannot be read or written, a worker process that died, or memory that
 ran out, 3 degenerate data, 4 bad flags, 5 censoring calibration failure,
 130 interrupted (SIGINT, as Ctrl-C sends it).
+Every input (--input, --scenario, --records) must be a regular file:
+a pipe, FIFO or directory exits 2 naming the flag, before it is read.
 ``screen`` and ``evaluate`` check that their output paths can be
 written, and name neither the input nor each other (exit 4), before they
 read anything. ``simulate`` refuses a --scenario that lies
@@ -32,6 +34,12 @@ output bytes. ``screen`` uses that default too: a dataset file of at least
 the CPUs it may run on), with the bytes of one process. Both commands
 refuse a SURVSCREEN_JOBS that is not a positive integer (exit 4) before
 any work.
+
+The ``survscreen`` command and ``python -m survscreen`` both run
+``survscreen.__main__.main``, which loads numpy with one BLAS thread
+unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set,
+in which case the user's value holds. Importing this module sets no
+environment variable.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import argparse
 import dataclasses
 import errno
 import os
+import stat
 import sys
 
 import numpy as np
@@ -87,6 +96,16 @@ def _check_output(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _check_input(flag: str, path) -> None:
+    """Raise ValidationError naming ``flag`` unless ``path`` is a regular file.
+
+    Each input is opened twice, to read it and to hash it for the manifest,
+    which a pipe cannot serve; opening a FIFO would also wait for a writer.
+    A path that cannot be stat'ed raises the OSError that opening it would."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValidationError(f"{flag} {path} is not a regular file")
 
 
 def _check_distinct(parser: _Parser, *named_paths) -> None:
@@ -228,6 +247,7 @@ def cmd_screen(parser: _Parser, args) -> int:
     )
     _check_output(args.out)
     _check_output(manifest_path)
+    _check_input("--input", args.input)
     data = read_dataset(args.input)
     if args.dn is not None and args.dn > data.p:
         parser.error(f"--dn must be at most p = {data.p}, got {args.dn}")
@@ -264,6 +284,7 @@ def cmd_simulate(parser: _Parser, args) -> int:
     if args.replications is not None and args.replications < 1:
         parser.error(f"--replications must be positive, got {args.replications}")
 
+    _check_input("--scenario", args.scenario)
     config = read_scenario(args.scenario)
     scenario = config.scenario
     replications = (
@@ -317,6 +338,7 @@ def cmd_evaluate(parser: _Parser, args) -> int:
     )
     _check_output(args.out)
     _check_output(manifest_path)
+    _check_input("--records", args.records)
     records, active_set = read_records(args.records)
     if not records:
         raise ValidationError("records file has no data rows")
@@ -358,7 +380,3 @@ def main(argv=None) -> int:
         # The workers fork_map started have been killed and reaped by now.
         print("survscreen: error: interrupted", file=sys.stderr)
         return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())

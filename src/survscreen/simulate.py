@@ -128,19 +128,19 @@ def sample_ar1_normal(n: int, p: int, rho: float, rng: np.random.Generator) -> n
 
     Uses the AR(1) recursion Z_1 = eps_1, Z_k = rho Z_{k-1}
     + sqrt(1 - rho^2) eps_k, which costs O(np) instead of a p x p Cholesky.
+    The recursion runs over the rows of a (p, n) copy, so each step reads
+    and writes contiguous memory; adding rho Z_{k-1} onto sqrt(1 - rho^2)
+    eps_k gives the same bits as the sum in the other order.
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"|rho| must be < 1, got {rho}")
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
-    eps = rng.standard_normal((n, p))
-    z = np.empty((n, p))
-    z[:, 0] = eps[:, 0]
-    if p > 1:
-        s = np.sqrt(1.0 - rho * rho)
-        for k in range(1, p):
-            z[:, k] = rho * z[:, k - 1] + s * eps[:, k]
-    return z
+    zt = rng.standard_normal((n, p)).T.copy()
+    zt[1:] *= np.sqrt(1.0 - rho * rho)
+    for k in range(1, p):
+        zt[k] += rho * zt[k - 1]
+    return zt.T.copy()
 
 
 def cox_baseline_cumhaz(t):

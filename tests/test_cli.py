@@ -29,10 +29,12 @@ EXCEPTION_CLASSES = [
 ]
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    import os
+#: The variables that choose numpy's BLAS thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    env = os.environ.copy()
+
+def run_cli(*args, env_extra=None, cwd=None, unset=()):
+    env = {name: value for name, value in os.environ.items() if name not in unset}
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -189,6 +191,23 @@ class TestScreenCommand:
             proc = run_cli(
                 "screen", "--input", wide_path, "--out", out, "--method", method,
                 env_extra={"SURVSCREEN_JOBS": jobs},
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("method", ["hsic", "dc"])
+    def test_ranking_bytes_are_the_same_with_blas_threads_unset_or_2(self, tmp_path, method):
+        # Unset, the command chooses one BLAS thread; 2 is the user's choice.
+        data_path = tmp_path / "d.csv"
+        write_cox_dataset(data_path, n=200, p=12)
+        written = []
+        for threads in (None, "2"):
+            out = tmp_path / f"r{threads}.csv"
+            proc = run_cli(
+                "screen", "--input", data_path, "--out", out, "--method", method,
+                env_extra=threads and {"OPENBLAS_NUM_THREADS": threads},
+                unset=BLAS_THREAD_VARS,
             )
             assert proc.returncode == 0, proc.stderr
             written.append(out.read_bytes())
@@ -491,6 +510,81 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
+    def test_import_loads_no_numpy_and_sets_no_environment(self):
+        # Only ``python -m survscreen`` and the installed command choose the
+        # BLAS threads; a program that imports the library keeps its own.
+        code = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import survscreen\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+            "import survscreen.cli, survscreen.__main__\n"
+            "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True", "True"]
+
+    def test_every_exported_name_is_its_home_modules_object(self):
+        import survscreen
+
+        for name in survscreen.__all__:
+            home = importlib.import_module(f"survscreen.{survscreen._EXPORTS[name]}")
+            assert getattr(survscreen, name) is getattr(home, name), name
+        assert set(survscreen.__all__) <= set(dir(survscreen))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            survscreen.no_such_name
+        star = {}
+        exec("from survscreen import *", star)
+        assert set(star) - {"__builtins__"} == set(survscreen.__all__)
+        from survscreen import cli as cli_module, dataio as dataio_module
+
+        assert (cli_module, dataio_module) == (cli, dataio)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize(
+        "given, expected",
+        [
+            ({}, ["1", "1", "1"]),
+            ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None]),
+            ({"OMP_NUM_THREADS": "2"}, [None, "2", None]),
+        ],
+        ids=["unset", "openblas-2", "omp-2"],
+    )
+    def test_module_entry_chooses_one_blas_thread_unless_the_user_did(self, given, expected):
+        # runpy runs the package as ``python -m survscreen`` does; --version
+        # loads numpy (through survscreen.cli) before it exits.
+        code = (
+            "import json, os, runpy, sys\n"
+            "sys.argv = ['survscreen', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('survscreen', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            f"print(json.dumps([[os.environ.get(v) for v in {BLAS_THREAD_VARS!r}],\n"
+            "                  'numpy' in sys.modules, len(os.listdir('/proc/self/task'))]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**env, **given}
+        )
+        assert proc.returncode == 0, proc.stderr
+        values, numpy_loaded, tasks = json.loads(proc.stdout.splitlines()[-1])
+        assert values == expected and numpy_loaded
+        if not given:
+            assert tasks == 1
+
+    def test_console_script_runs_the_module_entry(self):
+        # The installed ``survscreen`` command and ``python -m survscreen``
+        # must run the same main, so both choose the BLAS threads alike.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["survscreen"]
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry.__code__.co_filename == importlib.util.find_spec("survscreen.__main__").origin
+        assert entry.__name__ == "main" and callable(entry)
+
     def test_help_exits_0(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
@@ -532,6 +626,8 @@ def _error_fixtures(tmp_path):
     (tmp_path / "badrec.csv").write_text("who,knows\n1,2\n")
     (tmp_path / "ff_rec.csv").write_bytes(header.encode() + b"x,0,50,15,1,0.2,1\xff\n")
     (tmp_path / "adir").mkdir()
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "fifo")
     (tmp_path / "afile").write_text("")
     (tmp_path / "prev" / "datasets").mkdir(parents=True)
     write_scenario_file(tmp_path / "prev" / "records.csv")
@@ -549,6 +645,7 @@ def _snapshot(root):
 CLI_ERRORS = {
     "screen_missing_input": ("screen --input {t}/gone.csv --out {t}/o.csv", {}, 2, "gone.csv"),
     "screen_input_is_directory": ("screen --input {t}/adir --out {t}/o.csv", {}, 2, "adir"),
+    "screen_input_is_fifo": ("screen --input {t}/fifo --out {t}/o.csv", {}, 2, "--input {t}/fifo"),
     "screen_input_not_utf8": ("screen --input {t}/ff.csv --out {t}/o.csv", {}, 2, "ff.csv"),
     "screen_malformed_input": ("screen --input {t}/malformed.csv --out {t}/o.csv", {}, 2, None),
     "screen_hsic_above_sample_cap": ("screen --input {t}/capped.csv --out {t}/o.csv", {}, 2, None),
@@ -606,6 +703,9 @@ CLI_ERRORS = {
     "screen_unknown_flag": ("screen --input {t}/d.csv --out {t}/o.csv --wat", {}, 4, None),
     "simulate_incomplete_scenario": ("simulate --scenario {t}/bad.cfg --out-dir {t}/run", {}, 2, None),
     "simulate_scenario_is_directory": ("simulate --scenario {t}/adir --out-dir {t}/run", {}, 2, "adir"),
+    "simulate_scenario_is_fifo": (
+        "simulate --scenario {t}/fifo --out-dir {t}/run", {}, 2, "--scenario {t}/fifo"
+    ),
     "simulate_scenario_not_utf8": ("simulate --scenario {t}/ff.cfg --out-dir {t}/run", {}, 2, "ff.cfg"),
     "simulate_out_dir_is_a_file": (
         "simulate --scenario {t}/s.cfg --out-dir {t}/afile --jobs 1 --replications 1", {}, 2, "afile"
@@ -632,6 +732,9 @@ CLI_ERRORS = {
     "evaluate_malformed_records": ("evaluate --records {t}/badrec.csv --out {t}/o.csv", {}, 2, None),
     "evaluate_records_without_rows": ("evaluate --records {t}/norows.csv --out {t}/o.csv", {}, 2, None),
     "evaluate_records_is_directory": ("evaluate --records {t}/adir --out {t}/o.csv", {}, 2, "adir"),
+    "evaluate_records_is_fifo": (
+        "evaluate --records {t}/fifo --out {t}/o.csv", {}, 2, "--records {t}/fifo"
+    ),
     "evaluate_records_not_utf8": (
         "evaluate --records {t}/ff_rec.csv --out {t}/o.csv", {}, 2, "ff_rec.csv"
     ),
@@ -659,6 +762,8 @@ CLI_ERRORS = {
 @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
 def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
     argv, env, code, named = CLI_ERRORS[case]
+    if "{t}/fifo" in argv and not hasattr(os, "mkfifo"):
+        pytest.skip("this platform has no os.mkfifo")
     _error_fixtures(tmp_path)
     before = _snapshot(tmp_path)
     for name, value in env.items():
@@ -672,7 +777,7 @@ def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, caps
     assert "Traceback" not in stderr
     errors = [line for line in stderr.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("survscreen: error: "), stderr
-    assert named is None or named in errors[0]
+    assert named is None or named.format(t=tmp_path) in errors[0]
     assert _snapshot(tmp_path) == before
 
 

@@ -141,6 +141,23 @@ class TestAr1Sampler:
         with pytest.raises(ValueError, match="rho"):
             sample_ar1_normal(10, 3, 1.0, rng)
 
+    @pytest.mark.parametrize(
+        "n, p", [(200, 2000), (50_000, 5), (200, 10_000), (3, 1), (7, 2), (120, 400)]
+    )
+    @pytest.mark.parametrize("rho", [0.8, -0.6])
+    def test_bits_equal_the_column_loop(self, n, p, rho):
+        # The recursion as first written, one strided column of the (n, p)
+        # output per step: the sampler must keep its bits and its C order.
+        eps = np.random.default_rng(4).standard_normal((n, p))
+        expected = np.empty((n, p))
+        expected[:, 0] = eps[:, 0]
+        s = np.sqrt(1.0 - rho * rho)
+        for k in range(1, p):
+            expected[:, k] = rho * expected[:, k - 1] + s * eps[:, k]
+        z = sample_ar1_normal(n, p, rho, np.random.default_rng(4))
+        assert z.flags.c_contiguous and z.shape == (n, p)
+        assert z.tobytes() == expected.tobytes()
+
 
 class TestCoxSampler:
     def test_baseline_cumhaz_values(self):
