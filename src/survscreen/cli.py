@@ -14,7 +14,8 @@ cannot be read or written, a worker process that died, or memory that
 ran out, 3 degenerate data, 4 bad flags, 5 censoring calibration failure,
 130 interrupted (SIGINT, as Ctrl-C sends it).
 Every input (--input, --scenario, --records) must be a regular file:
-a pipe, FIFO or directory exits 2 naming the flag, before it is read.
+a pipe, FIFO or directory exits 2 naming the flag, before it is read,
+and one that changes while the command runs exits 2 before any write.
 ``screen`` and ``evaluate`` check that their output paths can be
 written, and name neither the input nor each other (exit 4), before they
 read anything. ``simulate`` refuses a --scenario that lies
@@ -98,14 +99,27 @@ def _check_output(path) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def _check_input(flag: str, path) -> None:
-    """Raise ValidationError naming ``flag`` unless ``path`` is a regular file.
+def _check_input(flag: str, path) -> os.stat_result:
+    """The stat of ``path``; ValidationError naming ``flag`` unless it is a regular file.
 
     Each input is opened twice, to read it and to hash it for the manifest,
     which a pipe cannot serve; opening a FIFO would also wait for a writer.
     A path that cannot be stat'ed raises the OSError that opening it would."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
         raise ValidationError(f"{flag} {path} is not a regular file")
+    return st
+
+
+def _input_digest(flag: str, path, before: os.stat_result) -> str:
+    """The sha256 of input ``path`` for the manifest, taken before any write;
+    ValidationError naming ``flag`` if its size, mtime or inode has moved
+    since ``_check_input`` stat'ed it as ``before``."""
+    digest = sha256_file(path)
+    after = os.stat(path)
+    if any(getattr(after, f) != getattr(before, f) for f in ("st_size", "st_mtime_ns", "st_ino")):
+        raise ValidationError(f"{flag} {path} changed while the command ran")
+    return digest
 
 
 def _check_distinct(parser: _Parser, *named_paths) -> None:
@@ -119,13 +133,13 @@ def _check_distinct(parser: _Parser, *named_paths) -> None:
         seen[real] = flag
 
 
-def _write_manifest(path, command: str, source, params: dict, **extra) -> None:
+def _write_manifest(path, command: str, source, digest: str, params: dict, **extra) -> None:
     """Build and write ``command``'s manifest through the dataio names bound in
     this module, which the traced benchmark replaces with span recorders."""
     manifest = build_manifest(
         command=command,
         version=__version__,
-        inputs={os.path.basename(source): sha256_file(source)},
+        inputs={os.path.basename(source): digest},
         params=params,
         **extra,
     )
@@ -247,7 +261,7 @@ def cmd_screen(parser: _Parser, args) -> int:
     )
     _check_output(args.out)
     _check_output(manifest_path)
-    _check_input("--input", args.input)
+    before = _check_input("--input", args.input)
     data = read_dataset(args.input)
     if args.dn is not None and args.dn > data.p:
         parser.error(f"--dn must be at most p = {data.p}, got {args.dn}")
@@ -260,6 +274,7 @@ def cmd_screen(parser: _Parser, args) -> int:
         method=args.method,
         standardize_covariates=args.standardize_covariates,
     )
+    digest = _input_digest("--input", args.input, before)
     write_ranking(args.out, result)
 
     params = {
@@ -270,7 +285,7 @@ def cmd_screen(parser: _Parser, args) -> int:
         "p": data.p,
         "standardize_covariates": bool(args.standardize_covariates),
     }
-    _write_manifest(manifest_path, "screen", args.input, params)
+    _write_manifest(manifest_path, "screen", args.input, digest, params)
     return 0
 
 
@@ -284,7 +299,7 @@ def cmd_simulate(parser: _Parser, args) -> int:
     if args.replications is not None and args.replications < 1:
         parser.error(f"--replications must be positive, got {args.replications}")
 
-    _check_input("--scenario", args.scenario)
+    before = _check_input("--scenario", args.scenario)
     config = read_scenario(args.scenario)
     scenario = config.scenario
     replications = (
@@ -304,6 +319,7 @@ def cmd_simulate(parser: _Parser, args) -> int:
     records, summary = run_experiment(
         scenario, method=args.method, replications=replications, parallelism=jobs
     )
+    digest = _input_digest("--scenario", args.scenario, before)
     os.makedirs(args.out_dir, exist_ok=True)
     write_records(records_path, records, scenario.active_set)
 
@@ -322,7 +338,7 @@ def cmd_simulate(parser: _Parser, args) -> int:
         d_n=summary.d_n,
     )
     _write_manifest(
-        manifest_path, "simulate", args.scenario, params,
+        manifest_path, "simulate", args.scenario, digest, params,
         rng_stream=RNG_STREAM_ID, quantile_convention=QUANTILE_CONVENTION,
     )
     return 0
@@ -338,7 +354,7 @@ def cmd_evaluate(parser: _Parser, args) -> int:
     )
     _check_output(args.out)
     _check_output(manifest_path)
-    _check_input("--records", args.records)
+    before = _check_input("--records", args.records)
     records, active_set = read_records(args.records)
     if not records:
         raise ValidationError("records file has no data rows")
@@ -350,11 +366,12 @@ def cmd_evaluate(parser: _Parser, args) -> int:
     for sid, group in groups.items():
         d_n = default_cutoff(group[0].n) if args.dn is None else args.dn
         summaries.append(summarize_records(group, active_set, d_n))
+    digest = _input_digest("--records", args.records, before)
     write_summary(args.out, summaries, active_set)
 
     params = {"dn": args.dn, "scenarios": {s.scenario_id: s.d_n for s in summaries}}
     _write_manifest(
-        manifest_path, "evaluate", args.records, params, quantile_convention=QUANTILE_CONVENTION
+        manifest_path, "evaluate", args.records, digest, params, quantile_convention=QUANTILE_CONVENTION
     )
     return 0
 

@@ -293,14 +293,13 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     (Huo & Szekely 2016): ||center(A)||^2 / n^2 = mean(A^2) - 2 mean(m^2)
     + g^2, where mean(A^2) = 2 var(z) (ddof=0), and m comes from one sort
     and one cumulative sum of the centred column, O(n log n) per column.
+    The response's dVar^2 is positive: ``standardize`` refuses constant times.
     Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1], 0 for
     a zero distance variance; one that overflows raises, as in ``screen``.
     """
     n = data.n
     B = center(np.sqrt(_pairwise(_response(data), np.subtract, np.square)))
     dvar_y = float(np.square(B).sum()) / (n * n)
-    if dvar_y <= 0.0:
-        return np.zeros(data.p)
     # entry r (from 0) of a sorted column x has sum_j |x_r - x_j| = (2r + 2 - n) x_r
     # + c_{n-1} - 2 c_r, where c is the inclusive cumulative sum of x
     weight = (2.0 * np.arange(n) + 2.0 - n)[:, None]

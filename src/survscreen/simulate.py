@@ -14,7 +14,7 @@ Three failure-time models over AR(1)-correlated Gaussian covariates:
 Censoring is uniform: C ~ Unif(0, scale) ("random") or
 C ~ Unif(0, scale * |Z1 - Z2|) ("informative"). The scale is calibrated
 by Monte Carlo bisection to hit a target censoring rate, and cached per
-(model, p, censoring, target_cr, rho).
+process by the tag that seeds its calibration stream.
 
 Replication r of a scenario draws from
 ``default_rng(SeedSequence(seed, spawn_key=(r,)))``; streams are
@@ -24,8 +24,6 @@ independent, so any subset of replications can be regenerated alone.
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +89,9 @@ class SimScenario:
             raise ValueError(f"|rho| must be < 1, got {self.rho}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
+        # A numpy float or an int rho calibrates as the Python float it equals.
+        object.__setattr__(self, "target_cr", float(self.target_cr))
+        object.__setattr__(self, "rho", float(self.rho))
 
     @property
     def active_set(self) -> tuple[int, ...]:
@@ -263,14 +264,17 @@ def expected_censoring_rate(
     return _censoring_rate(t, w, scale)
 
 
-def _calibration_rng(scenario: SimScenario) -> np.random.Generator:
-    # Seed-independent stream keyed only by what the rate curve depends on,
-    # so the cached scale is shared across scenario seeds.
-    tag = (
+def _calibration_tag(scenario: SimScenario) -> str:
+    """Seeds the calibration stream and keys ``_scale_cache``: what the rate
+    curve depends on, not the scenario seed, so all seeds share one scale."""
+    return (
         f"censoring-calibration:{scenario.model}:{scenario.p}:{scenario.censoring}"
         f":{scenario.target_cr!r}:{scenario.rho!r}"
     )
-    digest = hashlib.blake2b(tag.encode(), digest_size=16).digest()
+
+
+def _calibration_rng(scenario: SimScenario) -> np.random.Generator:
+    digest = hashlib.blake2b(_calibration_tag(scenario).encode(), digest_size=16).digest()
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest, "little")))
 
 
@@ -295,21 +299,14 @@ def calibrate_censoring(
     target = scenario.target_cr
 
     lo = hi = 1.0
-    expansions = 0
     while _censoring_rate(t, w, lo) < target:
         lo /= 8.0
-        expansions += 1
-        if expansions > 400 or lo == 0.0:
-            raise InfeasibleTargetError(
-                f"no scale this small reaches censoring rate {target}"
-            )
+        if lo == 0.0:
+            raise InfeasibleTargetError(f"no scale this small reaches censoring rate {target}")
     while _censoring_rate(t, w, hi) > target:
         hi *= 8.0
-        expansions += 1
-        if expansions > 400 or not np.isfinite(hi):
-            raise InfeasibleTargetError(
-                f"no scale this large reaches censoring rate {target}"
-            )
+        if not np.isfinite(hi):
+            raise InfeasibleTargetError(f"no scale this large reaches censoring rate {target}")
 
     for _ in range(max_steps):
         mid = float(np.sqrt(lo * hi))
@@ -325,38 +322,24 @@ def calibrate_censoring(
     )
 
 
-#: Calibrated scales by scenario family, filled under ``_scale_lock``, which
-#: each forked child replaces with a fresh lock.
-_scale_cache: dict[tuple, float] = {}
-_scale_lock = threading.Lock()
-
-
-def _renew_scale_lock() -> None:
-    """A forked child gets a fresh lock: a thread of the parent may have held
-    the inherited one at the fork, and no thread in the child would free it."""
-    global _scale_lock
-    _scale_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_scale_lock)
+#: Calibrated scales of this process, by calibration tag.
+_scale_cache: dict[str, float] = {}
 
 
 def censoring_scale(scenario: SimScenario) -> float:
     """Calibrated censoring scale for a scenario, cached across calls.
 
-    The cache key is (model, p, censoring, target_cr, rho); the scenario
-    seed deliberately plays no role, so every replication of a scenario
-    family shares one calibration. Calibration runs under the cache lock, so
-    threads that ask for a cold scenario at once wait for one calibration.
-    The cache is per process: worker processes forked after a call inherit
-    its entries, and a calibration in one worker is not seen by the others.
+    The cache is a plain dict per process, keyed by the tag that seeds the
+    calibration stream, so a cached scale is the one a fresh process would
+    compute. There is no lock: threads that miss the same tag at once each
+    calibrate, to the same float, and the dict store is atomic. Worker
+    processes forked after a call inherit its entries, and a calibration in
+    one worker is not seen by the others.
     """
-    key = (scenario.model, scenario.p, scenario.censoring, scenario.target_cr, scenario.rho)
-    with _scale_lock:
-        if key not in _scale_cache:
-            _scale_cache[key] = calibrate_censoring(scenario)
-        return _scale_cache[key]
+    key = _calibration_tag(scenario)
+    if key not in _scale_cache:
+        _scale_cache[key] = calibrate_censoring(scenario)
+    return _scale_cache[key]
 
 
 def generate(scenario: SimScenario, replication: int = 0) -> GeneratedData:

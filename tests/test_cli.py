@@ -782,6 +782,40 @@ def test_error_path_exits_cleanly_and_writes_nothing(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "reader, argv",
+    [
+        ("read_dataset", "screen --input {t}/d.csv --out {t}/o.csv"),
+        ("read_scenario", "simulate --scenario {t}/s.cfg --out-dir {t}/run --replications 1"),
+        ("read_records", "evaluate --records {t}/rec.csv --out {t}/o.csv"),
+    ],
+    ids=["screen", "simulate", "evaluate"],
+)
+def test_input_changed_during_the_run_exits_2_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, reader, argv
+):
+    read = getattr(cli, reader)
+
+    def read_then_append(path, *args, **kwargs):
+        result = read(path, *args, **kwargs)
+        with open(path, "a") as fh:
+            fh.write("appended\n")
+        return result
+
+    _error_fixtures(tmp_path)
+    argv = argv.format(t=tmp_path).split()
+    flag, source = argv[1], Path(argv[2])
+    before = _snapshot(tmp_path)
+    monkeypatch.setattr(cli, reader, read_then_append)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"survscreen: error: {flag} {source} changed while the command ran"
+    ]
+    after = _snapshot(tmp_path)
+    assert after.pop(source) == before.pop(source) + b"appended\n"
+    assert after == before
+
+
+@pytest.mark.parametrize(
     "message, line",
     [
         ("Unable to allocate 14.9 GiB for an array", "Unable to allocate 14.9 GiB for an array"),

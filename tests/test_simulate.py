@@ -7,7 +7,7 @@ from scipy import stats
 
 from survscreen import simulate
 from survscreen.evaluate import run_experiment
-from survscreen.exceptions import NoConvergenceError
+from survscreen.exceptions import InfeasibleTargetError, NoConvergenceError
 from survscreen.screening import screen
 from survscreen.simulate import (
     ACTIVE_SETS,
@@ -286,6 +286,52 @@ class TestCalibration:
     def test_no_convergence_error(self):
         with pytest.raises(NoConvergenceError, match="bisection"):
             calibrate_censoring(SimScenario("cox", 200, 20), max_steps=0)
+
+    @pytest.mark.parametrize("rate, bound", [(0.0, "small"), (1.0, "large")])
+    def test_no_bracket_is_infeasible(self, monkeypatch, rate, bound):
+        # A rate stuck below (above) any target runs lo down to 0 (hi up to inf).
+        monkeypatch.setattr(simulate, "_censoring_rate", lambda t, w, scale: rate)
+        with pytest.raises(InfeasibleTargetError, match=f"no scale this {bound} reaches"):
+            calibrate_censoring(SimScenario("cox", 200, 20))
+
+    def test_cached_scale_does_not_wait_for_another_calibration(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_scale_cache", {})
+        warm = SimScenario("cox", 200, 20)
+        scale = censoring_scale(warm)
+        started, release = threading.Event(), threading.Event()
+
+        def blocked(scenario, *args, **kwargs):
+            started.set()
+            release.wait(3.0)
+            return 1.0
+
+        monkeypatch.setattr(simulate, "calibrate_censoring", blocked)
+        cold = threading.Thread(target=censoring_scale, args=(SimScenario("cox", 200, 21),))
+        cold.start()
+        try:
+            assert started.wait(3.0)
+            begin = time.perf_counter()
+            assert censoring_scale(warm) == scale
+            assert time.perf_counter() - begin < 1.0
+        finally:
+            release.set()
+            cold.join()
+
+    def test_numpy_float_scenario_is_its_python_float_twin(self, monkeypatch):
+        # Equal scenarios share one calibration stream, whichever is calibrated first.
+        python_floats = SimScenario("transformation", 200, 30, "informative", 0.2, 0.5, seed=3)
+        numpy_floats = SimScenario(
+            "transformation", 200, 30, "informative", np.float64(0.2), np.float64(0.5), seed=3
+        )
+        assert type(numpy_floats.target_cr) is float and type(numpy_floats.rho) is float
+        runs = []
+        for order in ((python_floats, numpy_floats), (numpy_floats, python_floats)):
+            monkeypatch.setattr(simulate, "_scale_cache", {})
+            for sc in order:
+                data = generate(sc, 0).dataset
+                runs.append((censoring_scale(sc), data.times.tobytes(),
+                             data.status.tobytes(), data.covariates.tobytes()))
+        assert all(run == runs[0] for run in runs)
 
     def test_concurrent_callers_share_one_scale(self):
         sc = SimScenario("transformation", 100, 15, target_cr=0.25, rho=0.49)

@@ -1,5 +1,7 @@
+import ast
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +206,26 @@ class TestSplitJobs:
             assert handed == {"survscreen.dataio": 1, "survscreen.screening": 1}
         else:
             assert handed == {"survscreen.dataio": 2, "survscreen.screening": 2}
+
+
+THREADED_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+
+
+def test_package_imports_no_thread_or_pool_module():
+    # fork_map's os.fork and simulate's lock-free scale cache both rely on a
+    # caller that the package itself has not made multi-threaded.
+    found = []
+    for path in sorted(Path(workers.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if any(name == m or name.startswith(m + ".") for m in THREADED_MODULES)
+            ]
+    assert found == []
