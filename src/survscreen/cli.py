@@ -25,16 +25,16 @@ output.
 
 ``simulate --jobs`` sets the number of forked worker processes that run
 replications, at most one per replication; where the platform cannot
-fork they run serially. The default is the SURVSCREEN_JOBS environment
-variable when set, otherwise the number of CPUs the process may run on
-(its affinity mask, as ``taskset`` sets it). Replication
-streams are fixed by (seed, replication index), so --jobs never changes
-output bytes. ``screen`` uses that default too: a dataset file of at least
-``dataio.SPLIT_BYTES`` is read, and a screen of at least
-``screening.SPLIT_ENTRIES`` scored, by that many forked workers (at most
-the CPUs it may run on), with the bytes of one process. Both commands
-refuse a SURVSCREEN_JOBS that is not a positive integer (exit 4) before
-any work.
+fork they run serially. The default is ``workers.default_jobs()``: the
+SURVSCREEN_JOBS environment variable when set, otherwise the number of
+CPUs the process may run on (its affinity mask, as ``taskset`` sets it),
+and never more than those CPUs. Replication streams are fixed by (seed,
+replication index), so --jobs never changes output bytes. ``screen`` uses
+that default too: a dataset file of at least 2 MiB is read in
+``dataio.RANGE_BYTES`` ranges, and a screen of at least
+``screening.SPLIT_ENTRIES`` scored, by that many forked workers, with the
+bytes of one process. Both commands refuse a SURVSCREEN_JOBS that is not
+a positive integer (exit 4) before any work.
 
 The ``survscreen`` command and ``python -m survscreen`` both run
 ``survscreen.__main__.main``, which loads numpy with one BLAS thread
@@ -211,7 +211,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument(
         "--jobs", type=int, default=None,
         help="forked worker processes that run replications, at most one per "
-        f"replication (default ${JOBS_ENV_VAR} or the CPUs this process may use)",
+        f"replication (default ${JOBS_ENV_VAR} or the CPUs this process may use, "
+        "whichever is fewer)",
     )
     p_sim.add_argument(
         "--method", choices=METHODS, default="hsic", help="screening utility"

@@ -20,11 +20,11 @@ byte-for-byte. Every command output is paired with a JSON manifest
 recording versions, input digests, parameters, and seeds.
 
 Files are read as a stream of lines, split as ``str.splitlines`` splits
-the whole text, and hashed in 1 MiB reads: reading a dataset holds its
-n x (p+2) table and about ``BLOCK_CHARS`` of text, never the whole file.
-A dataset is cast as byte ranges through one ``fork_map`` call: one range,
-in this process, below ``SPLIT_BYTES``; from there several, each streamed
-by a forked worker.
+the whole text, and hashed in 1 MiB reads. A dataset is cut at LFs into
+byte ranges of 1-2 MiB (``RANGE_BYTES``), each cast by one ``np.loadtxt``
+call, through one ``fork_map`` call: a file under 2 MiB is one range, cast
+in this process. Reading holds the n x (p+2) table and one range's text
+per process, never the whole file.
 """
 
 from __future__ import annotations
@@ -45,23 +45,20 @@ from .evaluate import EvalSummary, ReplicationRecord
 from .exceptions import ParseError, ValidationError
 from .screening import ScreenResult, SurvivalDataset
 from .simulate import SimScenario
-from .workers import fork_map, split_jobs
+from .workers import default_jobs, fork_map
 
 _RANK_COL = re.compile(r"rank_z([1-9][0-9]*)$")
 _STATUS_01 = re.compile(r"[^,]*,[01],")
 
-#: Characters of dataset rows cast by one ``np.loadtxt`` call.
-BLOCK_CHARS = 1 << 20
-
-#: Dataset files of at least this many bytes are cast by ``split_jobs()``
-#: forked workers. Two workers against one on a 2-vCPU host, medians of
-#: 5-15 alternating reads at n=200: 1.0 MiB 31 -> 33 ms, 1.25 MiB even,
-#: 2 MiB 54 -> 43 ms, 7.5 MiB 237 -> 140 ms, 37.5 MiB 1.14 -> 0.64 s. No
-#: value depends on it.
-SPLIT_BYTES = 2 << 20
-
-#: Byte ranges per worker, handed out one at a time, so a slower core takes fewer.
-SPLIT_PIECES_PER_JOB = 4
+#: Bytes of dataset rows in one range, cast by one ``np.loadtxt`` call: a
+#: file is cut into ``max(1, size // RANGE_BYTES)`` ranges of 1-2 MiB, so
+#: one under 2 MiB is one range, cast in the caller, and a larger one is
+#: cast by ``default_jobs()`` forked workers, handed a range at a time, so
+#: a slower core takes fewer. Two workers against one on a 2-vCPU host,
+#: medians of 5-15 alternating reads at n=200: 1.0 MiB 31 -> 33 ms,
+#: 1.25 MiB even, 2 MiB 54 -> 43 ms, 7.5 MiB 237 -> 140 ms, 37.5 MiB
+#: 1.14 -> 0.64 s. No value depends on it.
+RANGE_BYTES = 1 << 20
 
 
 def float_repr(x) -> str:
@@ -135,23 +132,23 @@ def write_dataset(path, dataset: SurvivalDataset) -> None:
 def read_dataset(path) -> SurvivalDataset:
     """Parse and validate a dataset CSV; errors carry 1-based line/column.
 
-    The header is read first. The file is then cut at LFs into byte ranges
-    that one ``fork_map`` call casts: one range, cast in this process, when
-    the file is below ``SPLIT_BYTES`` or ``split_jobs()`` is 1, and
-    otherwise ``SPLIT_PIECES_PER_JOB`` ranges per worker. A range's rows are
-    cast in blocks of about ``BLOCK_CHARS`` characters, each by one
-    ``np.loadtxt`` call, which parses a field as ``float()`` does. A block
-    is kept when every row has p + 2 fields, a status of exactly ``0`` or
-    ``1``, a nonnegative time and finite values; any other block goes row by
-    row through ``_check_row``, so the error names the file's first bad
-    field. A row's values do not depend on its block or range, so the table
-    is the same for every cut; an error's line number would, so a split cast
-    that raises is cast again as one range. A file that is not UTF-8 is
-    reported as such before any error in its header or rows, as if it had
-    been decoded whole.
+    The header is read first. The file is then cut at LFs into
+    ``max(1, size // RANGE_BYTES)`` byte ranges, which one ``fork_map`` call
+    over ``default_jobs()`` workers casts; one range runs in this process.
+    The cut depends on the file's size alone. A range's rows are cast by one
+    ``np.loadtxt`` call, which parses a field as ``float()`` does. They are
+    kept when every row has p + 2 fields, a status of exactly ``0`` or
+    ``1``, a nonnegative time and finite values; any other range goes row by
+    row through ``_check_row``, so the error names its first bad field. A
+    row's values do not depend on its range, so the table is the same for
+    every cut; a worker cannot know its range's first line number, so a
+    split cast that raises is cast again here, range by range in file order,
+    each numbered from the line after the previous range's last row. A file
+    that is not UTF-8 is reported as such before any error in its header or
+    rows, as if it had been decoded whole.
 
-    Memory is the n x (p+2) table twice, while the blocks or the ranges are
-    joined, plus one block; each worker holds its range twice and one block.
+    Memory is the n x (p+2) table twice, while the ranges are joined, plus
+    one range's text and values; each worker holds one range at a time.
     """
     lines = _text_lines(path)
     try:
@@ -160,21 +157,25 @@ def read_dataset(path) -> SurvivalDataset:
             raise ParseError(1, 1, "empty file")
         p = _header_width(header)
         size = os.path.getsize(path)
-        jobs = split_jobs() if size >= SPLIT_BYTES else 1
-        pieces = 1 if jobs == 1 else jobs * SPLIT_PIECES_PER_JOB
-        cuts = {0, size}
+        pieces = max(1, size // RANGE_BYTES)
+        cuts, k = [0], 1
         with open(path, "rb") as fh:
-            for k in range(1, pieces):
+            while k < pieces:
                 fh.seek(size * k // pieces)
                 fh.readline()
-                cuts.add(fh.tell())
-        ranges = list(itertools.pairwise(sorted(cuts)))
+                cuts.append(fh.tell())
+                # the next k whose offset is at or past this cut; those before fall inside its line
+                k = -(-cuts[-1] * pieces // size)
+        ranges = list(itertools.pairwise(sorted({*cuts, size})))
+        jobs = default_jobs()  # before the try: a bad $SURVSCREEN_JOBS raises, not recasts
         try:
             tables = fork_map(_cast_range, [(path, *r, p) for r in ranges], jobs)
         except (OSError, ValueError, MemoryError):
             if len(ranges) == 1:
                 raise
-            tables = [_cast_range(path, 0, size, p)]
+            tables = []
+            for r in ranges:
+                tables.append(_cast_range(path, *r, p, 2 + sum(map(len, tables))))
     except ValueError:
         for _ in lines:
             pass
@@ -204,24 +205,15 @@ def _header_width(header: str) -> int:
     return len(fields) - 2
 
 
-def _cast_range(path, start: int, stop: int, p: int) -> np.ndarray:
-    """The (rows, p + 2) values of the data rows in bytes ``start``..``stop``
-    of the file, numbered from line 2; the range from byte 0 skips the header."""
-    blocks = [np.empty((0, p + 2))]
-    block, chars, line_no = [], 0, 2
+def _cast_range(path, start: int, stop: int, p: int, first_line: int = 2) -> np.ndarray:
+    """The (rows, p + 2) values of the data rows in bytes ``start``..``stop`` of
+    the file, the first on line ``first_line``; the range from byte 0 skips the header."""
     with contextlib.closing(_text_lines(path, start, stop)) as lines:
         if start == 0:
             next(lines, None)
-        for line in lines:
-            block.append(line)
-            chars += len(line)
-            if chars >= BLOCK_CHARS:
-                blocks.append(_cast_block(block, line_no, p))
-                line_no += len(block)
-                block, chars = [], 0
-    if block:
-        blocks.append(_cast_block(block, line_no, p))
-    return np.concatenate(blocks)
+        rows = list(lines)
+    # loadtxt warns on empty input: the range from byte 0 may hold only the header.
+    return _cast_block(rows, first_line, p) if rows else np.empty((0, p + 2))
 
 
 def _cast_block(block: list[str], first_line: int, p: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from .exceptions import (
     ValidationError,
 )
 from .kernels import GAUSSIAN_DEFAULT, KernelSpec, _pairwise, _sweep, _terms, _upper_weights, center, gram
-from .workers import fork_map, split_jobs
+from .workers import default_jobs, fork_map
 
 #: The marginal utilities ``screen`` ranks by: the paper's HSIC, and the
 #: distance-correlation baseline it is compared against.
@@ -35,7 +35,7 @@ METHODS = ("hsic", "dc")
 CHUNK_COLUMNS = 256
 
 #: Response-matrix entries swept, n^2 p / 2, from which a screen's chunks
-#: are scored by ``split_jobs()`` forked workers. Two workers at n=200 on
+#: are scored by ``default_jobs()`` forked workers. Two workers at n=200 on
 #: a 2-vCPU host, medians of 11-15 alternating runs: p=300 (6e6 entries)
 #: lost to the fork (HSIC 27 -> 31 ms, DC 20 -> 26 ms); at p=500 (1e7)
 #: HSIC won, 39 -> 32 ms, while DC lost, 26 -> 29 ms, and tied up to
@@ -197,7 +197,7 @@ def screen(
     few n x chunk slabs. A utility has the bits of ``hsic_pair`` on its
     column, whatever the other columns are, so any split over columns
     reproduces the serial output. From ``SPLIT_ENTRIES`` (n^2 p / 2) the
-    chunks are scored by ``workers.split_jobs()`` forked workers, each
+    chunks are scored by ``workers.default_jobs()`` forked workers, each
     sharing the caller's response matrix; set SURVSCREEN_JOBS=1 to score
     in the calling process, for example from a threaded program.
     """
@@ -234,7 +234,7 @@ def _score_chunks(Z: np.ndarray, score, method: str, standardize_covariates: boo
     returns w values. A lone column is padded with a zero column, because
     numpy sums an (m, 1) array over axis 0 pairwise rather than in row
     order. ``Z`` is only read. From ``SPLIT_ENTRIES`` response-matrix
-    entries swept the chunks go to ``split_jobs()`` forked workers, which
+    entries swept the chunks go to ``default_jobs()`` forked workers, which
     inherit the map's silenced floating-point warnings; each value lands at
     its column's position, so the bits are the serial ones.
     """
@@ -246,7 +246,7 @@ def _score_chunks(Z: np.ndarray, score, method: str, standardize_covariates: boo
         z[:, :width] = Z[:, start : start + width]
         return score(standardize_columns(z) if standardize_covariates else z)[:width]
 
-    jobs = split_jobs() if n * n * p / 2 >= SPLIT_ENTRIES else 1
+    jobs = default_jobs() if n * n * p / 2 >= SPLIT_ENTRIES else 1
     with np.errstate(all="ignore"):  # a non-finite utility is refused below
         omega = np.concatenate(fork_map(chunk, [(s,) for s in range(0, p, CHUNK_COLUMNS)], jobs))
     overflowed = np.flatnonzero(~np.isfinite(omega))

@@ -8,12 +8,12 @@ is handed task indices one at a time over a pipe, and sends back each
 result pickled. A fork costs a few milliseconds where a pool costs tens,
 so a single ``screen`` can afford one.
 
-``default_jobs`` is the one worker-count policy: ``$SURVSCREEN_JOBS`` when
-set, otherwise the number of CPUs this process may run on (its affinity
-mask, so ``taskset`` or a pinned job is respected; the logical core count
-where the platform has no mask), and 1 inside a worker, so work that is
-already split is not split again. The reader's and the scorer's automatic
-splits take ``split_jobs``, which caps it at those CPUs.
+``default_jobs`` is the one automatic worker count: ``$SURVSCREEN_JOBS``
+when set, otherwise the number of CPUs this process may run on (its
+affinity mask, so ``taskset`` or a pinned job is respected; the logical
+core count where the platform has no mask), and never more than those
+CPUs. ``simulate``'s default, the reader's split and the scorer's split
+all take it; a map inside a worker runs in that worker.
 """
 
 from __future__ import annotations
@@ -33,30 +33,19 @@ _in_worker = False
 
 
 def default_jobs() -> int:
-    """$SURVSCREEN_JOBS when set, else the CPUs this process may use, and 1 inside
-    a ``fork_map`` worker; ValueError if the variable is not a positive integer."""
-    if _in_worker:
-        return 1
+    """$SURVSCREEN_JOBS when set, else the CPUs this process may use, and never more
+    than those CPUs; ValueError if the variable is not a positive integer."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw is None:
-        return _usable_cpus()
+        return usable
     try:
         jobs = int(raw)
     except ValueError:
         jobs = 0
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return jobs
-
-
-def split_jobs() -> int:
-    """The workers of an automatic split: ``default_jobs()``, but at most the
-    CPUs this process may use, whatever $SURVSCREEN_JOBS asks for."""
-    return min(default_jobs(), _usable_cpus())
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, usable)
 
 
 def fork_map(fn, tasks: list[tuple], jobs: int) -> list:

@@ -183,7 +183,7 @@ class TestScreenCommand:
         n, p = 200, 1000
         wide_path = tmp_path / "wide.csv"
         write_cox_dataset(wide_path, n=n, p=p)
-        assert wide_path.stat().st_size >= dataio.SPLIT_BYTES
+        assert wide_path.stat().st_size >= 2 * dataio.RANGE_BYTES
         assert n * n * p / 2 >= screening.SPLIT_ENTRIES
         written = []
         for jobs in ("1", "2"):
@@ -215,9 +215,10 @@ class TestScreenCommand:
 
     @pytest.mark.parametrize("kernel", KERNEL_FAMILIES)
     def test_split_reading_and_scoring_write_the_serial_bytes(self, tmp_path, monkeypatch, kernel):
-        # Both cuts at 0, so two workers read and score even this small file.
+        # One-byte ranges and the scoring cut at 0, so two workers read and
+        # score even this small file.
         write_cox_dataset(tmp_path / "d.csv", n=40, p=600)
-        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
         monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
         runs = {
             "hsic": ["--gamma", "1.5"],
@@ -416,6 +417,22 @@ class TestSimulateCommand:
         assert proc.returncode == 4
         assert "SURVSCREEN_JOBS must be a positive integer, got 'zero'" in proc.stderr
         assert "--jobs" not in proc.stderr.splitlines()[-1]
+
+    def test_jobs_env_var_default_is_at_most_the_usable_cpus(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "s.cfg"
+        write_scenario_file(cfg)
+        handed = []
+
+        def spy(*args, parallelism, **kwargs):
+            handed.append(parallelism)
+            return run_experiment(*args, parallelism=parallelism, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        monkeypatch.setenv("SURVSCREEN_JOBS", "64")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["simulate", "--scenario", str(cfg), "--out-dir", str(tmp_path / "run")]
+        assert cli.main(argv + ["--replications", "2"]) == 0
+        assert handed == [2]
 
 
 class TestEvaluateCommand:

@@ -27,7 +27,7 @@ from survscreen.evaluate import ReplicationRecord, summarize_records
 from survscreen.exceptions import ParseError, ValidationError
 from survscreen.screening import SurvivalDataset, screen
 from survscreen.simulate import SimScenario, generate
-from survscreen.workers import JOBS_ENV_VAR, fork_map
+from survscreen.workers import JOBS_ENV_VAR, default_jobs, fork_map
 
 
 def toy_dataset(rng=None, n=5, p=3):
@@ -263,12 +263,13 @@ def test_read_dataset_error_type_and_message(tmp_path, defect):
 @pytest.fixture(params=["one_range", "split"])
 def reader(request, monkeypatch):
     """The job count ``read_dataset`` should hand ``fork_map``, and a list of the
-    counts it hands: 1 at the default cut, where a small file is one range,
-    or 2 with the cut at 0, where two forked workers cast even a tiny file."""
-    jobs = 1
+    counts it hands: ``default_jobs()`` at the default range size, where a
+    small file is one range, cast in the caller, or 2 with one-byte ranges,
+    where two forked workers cast even a tiny file."""
+    jobs = default_jobs()
     if request.param == "split":
         jobs = 2
-        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
         monkeypatch.setenv(JOBS_ENV_VAR, "2")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     handed = []
@@ -317,8 +318,8 @@ class TestReadDatasetOnBothPaths:
     def test_every_descriptor_is_closed_however_the_read_ends(
         self, tmp_path, monkeypatch, reader, ending
     ):
-        # One row per block, so the bad row on line 4 raises before line 5 is read.
-        monkeypatch.setattr(dataio, "BLOCK_CHARS", 1)
+        # One row per range, so the bad row on line 4 raises before line 5 is read.
+        monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
         if ending == "interrupted":
             def interrupted(fn, tasks, jobs):
                 raise KeyboardInterrupt
@@ -617,7 +618,7 @@ def traced_peak(fn, *args):
 
 
 def test_read_dataset_holds_the_table_not_the_file(tmp_path, monkeypatch):
-    # The file (about 4.7 MB) spans several blocks and is 2.5 times the
+    # The file (about 4.7 MB) makes four ranges and is 2.5 times the
     # table; holding its text whole and split peaks near 4.9 tables.
     n, p = 60, 4000
     rng = np.random.default_rng(5)
@@ -635,7 +636,6 @@ def test_read_dataset_holds_the_table_not_the_file(tmp_path, monkeypatch):
         splits.append(min(len(tasks), jobs))
         return fork_map(fn, tasks, jobs)
 
-    monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
     monkeypatch.setattr(dataio, "fork_map", counted)
     monkeypatch.setenv(JOBS_ENV_VAR, "2")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -643,6 +643,38 @@ def test_read_dataset_holds_the_table_not_the_file(tmp_path, monkeypatch):
     assert splits == [2]
     assert back.covariates.tobytes() == data.covariates.tobytes()
     assert peak <= 3 * n * (p + 2) * 8
+
+
+def test_the_cut_and_the_casts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # About 5 MB, so 4 ranges of 1-2 MiB, each cast by one loadtxt call.
+    n, p = 60, 4000
+    rng = np.random.default_rng(6)
+    data = SurvivalDataset(rng.random(n), np.arange(n) % 2, rng.standard_normal((n, p)))
+    path = tmp_path / "wide.csv"
+    write_dataset(path, data)
+    handed, casts = [], []
+    loadtxt = np.loadtxt
+
+    def counted_map(fn, tasks, jobs):
+        handed.append((tasks, jobs))
+        return fork_map(fn, tasks, jobs)
+
+    def counted_loadtxt(*args, **kwargs):
+        casts.append(os.getpid())
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "fork_map", counted_map)
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for jobs in ("1", "2"):
+        monkeypatch.setenv(JOBS_ENV_VAR, jobs)
+        assert read_dataset(path).covariates.tobytes() == data.covariates.tobytes()
+    (serial, one), (split, two) = handed
+    assert (one, two) == (1, 2)
+    assert split == serial
+    assert len(serial) == path.stat().st_size // dataio.RANGE_BYTES == 4
+    # the serial read cast each range here, the split one in its workers
+    assert casts == [os.getpid()] * len(serial)
 
 
 def test_sha256_file_reads_in_bounded_pieces(tmp_path):

@@ -136,8 +136,8 @@ def outcome(read, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=400))
-def test_streamed_blocks_read_as_the_whole_text_would(tmp_path_factory, data, p, block_chars):
-    # block_chars stands in for BLOCK_CHARS, so that a few rows span several blocks.
+def test_streamed_blocks_read_as_the_whole_text_would(tmp_path_factory, data, p, range_bytes):
+    # range_bytes stands in for RANGE_BYTES, so that a few rows span several ranges.
     header = "time,status," + ",".join(f"z{j + 1}" for j in range(p))
     lines = [header] + data.draw(st.lists(good_rows(p), min_size=3, max_size=12))
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -155,11 +155,12 @@ def test_streamed_blocks_read_as_the_whole_text_would(tmp_path_factory, data, p,
     path = tmp_path_factory.mktemp("blocks") / "d.csv"
     path.write_bytes(raw)
     expected = outcome(read_whole, path, header)
-    with mock.patch.object(dataio, "BLOCK_CHARS", block_chars):
-        assert outcome(read_dataset, path) == expected
-        # and cut into byte ranges that two or three forked workers cast; one
-        # worker count per example keeps the forks' cost within the test's time
+    with mock.patch.object(dataio, "RANGE_BYTES", range_bytes):
+        # cast range by range in this process
+        with mock.patch.dict(os.environ, {workers.JOBS_ENV_VAR: "1"}):
+            assert outcome(read_dataset, path) == expected
+        # and by two or three forked workers; one worker count per example
+        # keeps the forks' cost within the test's time
         jobs = data.draw(st.sampled_from(["2", "3"]))
-        with mock.patch.object(dataio, "SPLIT_BYTES", 0):
-            with mock.patch.dict(os.environ, {workers.JOBS_ENV_VAR: jobs}):
-                assert outcome(read_dataset, path) == expected
+        with mock.patch.dict(os.environ, {workers.JOBS_ENV_VAR: jobs}):
+            assert outcome(read_dataset, path) == expected

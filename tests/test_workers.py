@@ -9,7 +9,7 @@ import pytest
 from survscreen import dataio, screening, workers
 from survscreen.dataio import read_dataset, write_dataset
 from survscreen.screening import SurvivalDataset, screen
-from survscreen.workers import default_jobs, fork_map, split_jobs
+from survscreen.workers import default_jobs, fork_map
 
 ABRUPT = "a worker process ended abruptly"
 
@@ -83,6 +83,7 @@ class TestForkMap:
 
     def test_nested_map_and_default_jobs_run_in_the_worker(self, monkeypatch):
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
         def task(i):
             inner = fork_map(lambda j: os.getpid(), [(0,), (1,)], 2)
@@ -93,7 +94,7 @@ class TestForkMap:
         for pid, inner, jobs in results:
             assert pid != os.getpid()
             assert inner == [pid, pid]
-            assert jobs == 1
+            assert jobs == 2  # counted as in the caller; the nested map ran serially anyway
         assert_no_child_left()
 
     def test_one_task_or_one_job_runs_in_the_caller(self):
@@ -144,6 +145,7 @@ class TestDefaultJobs:
         monkeypatch.delenv(workers.JOBS_ENV_VAR, raising=False)
         usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert default_jobs() == usable
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "3")
         assert default_jobs() == 3
 
@@ -165,29 +167,31 @@ class TestDefaultJobs:
 
 
 class TestSplitJobs:
+    """The workers of the reader's and the scorer's automatic splits."""
+
     def test_at_most_the_usable_cpus_whatever_the_variable_asks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "64")
-        assert (default_jobs(), split_jobs()) == (64, 2)
+        assert default_jobs() == 2
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "1")
-        assert (default_jobs(), split_jobs()) == (1, 1)
+        assert default_jobs() == 1
         monkeypatch.delenv(workers.JOBS_ENV_VAR)
-        assert (default_jobs(), split_jobs()) == (2, 2)
+        assert default_jobs() == 2
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     def test_read_and_score_of_a_split_sized_input_take_at_most_the_usable_cpus(
         self, tmp_path, monkeypatch, cpus
     ):
-        # SURVSCREEN_JOBS asks for 64 workers and both cuts are 0, so even
-        # this small file would split. Nothing is forked: the spies run each
-        # task in the caller, and os.fork fails the test.
+        # SURVSCREEN_JOBS asks for 64 workers, ranges are one byte and the
+        # scoring cut is 0, so even this small file would split. Nothing is
+        # forked: the spies run each task in the caller, and os.fork fails the test.
         def no_fork():
             raise AssertionError("a process was forked")
 
         monkeypatch.setenv(workers.JOBS_ENV_VAR, "64")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(dataio, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
         monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
         handed = {}
         for module in (dataio, screening):
@@ -228,4 +232,38 @@ def test_package_imports_no_thread_or_pool_module():
                 for name in names
                 if any(name == m or name.startswith(m + ".") for m in THREADED_MODULES)
             ]
+    assert found == []
+
+
+def _reads_the_jobs_variable(node) -> bool:
+    """``os.environ[...]``, ``os.environ.get(...)`` or ``os.getenv(...)`` of SURVSCREEN_JOBS."""
+    if isinstance(node, ast.Subscript):
+        target, keys = node.value, [node.slice]
+    elif isinstance(node, ast.Call):
+        target, keys = node.func, node.args[:1]
+    else:
+        return False
+    return ast.unparse(target).startswith(("os.environ", "os.getenv")) and any(
+        ast.unparse(key) in (repr(workers.JOBS_ENV_VAR), "JOBS_ENV_VAR", "workers.JOBS_ENV_VAR")
+        for key in keys
+    )
+
+
+def test_only_workers_counts_cpus_or_reads_the_jobs_variable():
+    # default_jobs is the one automatic worker count: no other module asks
+    # the platform for its CPUs or reads $SURVSCREEN_JOBS itself.
+    counters = {"sched_getaffinity", "cpu_count"}
+    found = []
+    for path in sorted(Path(workers.__file__).parent.rglob("*.py")):
+        if path.name == "workers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "os":
+                hit = node.attr in counters
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hit = bool(counters & {alias.name for alias in node.names})
+            else:
+                hit = _reads_the_jobs_variable(node)
+            if hit:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
