@@ -97,6 +97,13 @@ def _check_output(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    _check_name_length(path, os.path.dirname(path))
+
+
+def _check_name_length(path, parent) -> None:
+    """Raise the ENAMETOOLONG that creating ``path`` in ``parent`` would raise (-1: no limit)."""
+    if -1 < os.pathconf(parent or ".", "PC_NAME_MAX") < len(os.fsencode(os.path.basename(path))):
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
 
 
 def _check_input(flag: str, path) -> os.stat_result:
@@ -147,15 +154,17 @@ def _write_manifest(path, command: str, source, digest: str, params: dict, **ext
 
 
 def _check_out_dir(path) -> None:
-    """Raise the error ``os.makedirs(path, exist_ok=True)`` would raise on a
-    file in the way, so a run that could not save its output does no work."""
-    head, missing = path, path
+    """Raise the error ``os.makedirs(path, exist_ok=True)`` would raise on a file in the
+    way or a name too long, so a run that could not save its output does no work."""
+    head, missing = path, []
     while head and not os.path.exists(head):
-        head, missing = os.path.dirname(head), head
-    if head == path and not os.path.isdir(path):
+        head, missing = os.path.dirname(head), [head, *missing]
+    if not missing and not os.path.isdir(path):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
     if head and not os.path.isdir(head):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing[0])
+    for name in missing:
+        _check_name_length(name, head)
 
 
 def build_parser() -> _Parser:

@@ -23,8 +23,9 @@ Files are read as a stream of lines, split as ``str.splitlines`` splits
 the whole text, and hashed in 1 MiB reads. A dataset is cut at LFs into
 byte ranges of 1-2 MiB (``RANGE_BYTES``), each cast by one ``np.loadtxt``
 call, through one ``fork_map`` call: a file under 2 MiB is one range, cast
-in this process. Reading holds the n x (p+2) table and one range's text
-per process, never the whole file.
+in this process. A range with a bad row counts the lines before it, so
+its error names the file's line in any process. Reading holds the
+n x (p+2) table and one range's text per process, never the whole file.
 """
 
 from __future__ import annotations
@@ -132,24 +133,22 @@ def write_dataset(path, dataset: SurvivalDataset) -> None:
 def read_dataset(path) -> SurvivalDataset:
     """Parse and validate a dataset CSV; errors carry 1-based line/column.
 
-    The header is read first. The file is then cut at LFs into
-    ``max(1, size // RANGE_BYTES)`` byte ranges, which one ``fork_map`` call
-    over ``default_jobs()`` workers casts; one range runs in this process.
-    The cut depends on the file's size alone. A range's rows are cast by one
-    ``np.loadtxt`` call, which parses a field as ``float()`` does. They are
-    kept when every row has p + 2 fields, a status of exactly ``0`` or
-    ``1``, a nonnegative time and finite values; any other range goes row by
-    row through ``_check_row``, so the error names its first bad field. A
-    row's values do not depend on its range, so the table is the same for
-    every cut; a worker cannot know its range's first line number, so a
-    split cast that raises is cast again here, range by range in file order,
-    each numbered from the line after the previous range's last row. A file
-    that is not UTF-8 is reported as such before any error in its header or
-    rows, as if it had been decoded whole.
+    The header is read first. The file is then cut at LFs, by its size alone,
+    into ``max(1, size // RANGE_BYTES)`` byte ranges, which one ``fork_map``
+    call over ``default_jobs()`` workers casts; one range runs in this
+    process. A range's rows are cast by one ``np.loadtxt`` call, which parses
+    a field as ``float()`` does, and kept when every row has p + 2 fields, a
+    status of exactly ``0`` or ``1``, a nonnegative time and finite values;
+    any other range goes row by row through ``_check_row``, so the error
+    names its first bad field and its line in the file. The table is the
+    same for every cut, and so is the error: ranges are handed out in file
+    order. A file that is not UTF-8 is reported as such before any error in
+    its header or rows, as if it had been decoded whole.
 
     Memory is the n x (p+2) table twice, while the ranges are joined, plus
     one range's text and values; each worker holds one range at a time.
     """
+    jobs = default_jobs()  # a bad $SURVSCREEN_JOBS raises before the file is read
     lines = _text_lines(path)
     try:
         header = next(lines, None)
@@ -166,16 +165,8 @@ def read_dataset(path) -> SurvivalDataset:
                 cuts.append(fh.tell())
                 # the next k whose offset is at or past this cut; those before fall inside its line
                 k = -(-cuts[-1] * pieces // size)
-        ranges = list(itertools.pairwise(sorted({*cuts, size})))
-        jobs = default_jobs()  # before the try: a bad $SURVSCREEN_JOBS raises, not recasts
-        try:
-            tables = fork_map(_cast_range, [(path, *r, p) for r in ranges], jobs)
-        except (OSError, ValueError, MemoryError):
-            if len(ranges) == 1:
-                raise
-            tables = []
-            for r in ranges:
-                tables.append(_cast_range(path, *r, p, 2 + sum(map(len, tables))))
+        ranges = itertools.pairwise(sorted({*cuts, size}))
+        tables = fork_map(_cast_range, [(path, *r, p) for r in ranges], jobs)
     except ValueError:
         for _ in lines:
             pass
@@ -183,11 +174,7 @@ def read_dataset(path) -> SurvivalDataset:
     finally:
         lines.close()
     table = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    return SurvivalDataset(
-        times=table[:, 0],
-        status=table[:, 1].astype(np.int8),
-        covariates=table[:, 2:],
-    )
+    return SurvivalDataset(times=table[:, 0], status=table[:, 1], covariates=table[:, 2:])
 
 
 def _header_width(header: str) -> int:
@@ -205,38 +192,35 @@ def _header_width(header: str) -> int:
     return len(fields) - 2
 
 
-def _cast_range(path, start: int, stop: int, p: int, first_line: int = 2) -> np.ndarray:
-    """The (rows, p + 2) values of the data rows in bytes ``start``..``stop`` of
-    the file, the first on line ``first_line``; the range from byte 0 skips the header."""
+def _cast_range(path, start: int, stop: int, p: int) -> np.ndarray:
+    """The (rows, p + 2) values of the data rows in bytes ``start``..``stop`` (from
+    byte 0, past the header); a bad row raises naming its line in the file."""
     with contextlib.closing(_text_lines(path, start, stop)) as lines:
         if start == 0:
             next(lines, None)
         rows = list(lines)
-    # loadtxt warns on empty input: the range from byte 0 may hold only the header.
-    return _cast_block(rows, first_line, p) if rows else np.empty((0, p + 2))
-
-
-def _cast_block(block: list[str], first_line: int, p: int) -> np.ndarray:
-    """The values of the rows ``block``, the first of them on line ``first_line``."""
-    # loadtxt skips a blank line and warns on empty input; a row the
-    # pattern accepts has three fields, so neither can happen.
-    if all(_STATUS_01.match(line) for line in block):
-        try:
-            values = np.loadtxt(
-                block, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2
-            )
-        except ValueError:
-            pass
-        else:
-            if (
-                values.shape == (len(block), p + 2)
-                and (values[:, 0] >= 0.0).all()
-                and np.isfinite(values).all()
-            ):
+    # loadtxt warns on empty input and skips a blank line; a row the pattern
+    # accepts has three fields, so only the range from byte 0 can be empty.
+    if not rows:
+        return np.empty((0, p + 2))
+    if all(_STATUS_01.match(line) for line in rows):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(rows, delimiter=",", comments=None, quotechar=None, ndmin=2)
+            full = values.shape == (len(rows), p + 2)
+            if full and (values[:, 0] >= 0).all() and np.isfinite(values).all():
                 return values
-    return np.array(
-        [_check_row(line.split(","), line_no, p) for line_no, line in enumerate(block, first_line)]
-    )
+    for i, line in enumerate(rows):
+        try:
+            rows[i] = _check_row(line.split(","), i, p)
+        except ValueError:
+            break
+    else:
+        return np.array(rows)
+    # Numbered from the range so far: count the file's lines before it, then
+    # check the bad row again, so it raises naming its line in the file.
+    first = 2 if start == 0 else 1 + sum(1 for _ in _text_lines(path, 0, start))
+    _check_row(rows[i].split(","), first + i, p)
+    raise AssertionError("a row failed once but not twice")
 
 
 def _check_row(fields: list[str], line_no: int, p: int) -> list[float]:
@@ -247,13 +231,9 @@ def _check_row(fields: list[str], line_no: int, p: int) -> list[float]:
         raise ParseError(line_no, 1, f"expected {p + 2} fields, got {len(fields)}")
     t = _finite_float(fields[0], line_no, 1, "time")
     if t < 0:
-        raise ValidationError(
-            f"line {line_no}, column 1: time must be nonnegative, got {fields[0]}"
-        )
+        raise ValidationError(f"line {line_no}, column 1: time must be nonnegative, got {fields[0]}")
     if fields[1] not in ("0", "1"):
-        raise ValidationError(
-            f"line {line_no}, column 2: status must be 0 or 1, got {fields[1]!r}"
-        )
+        raise ValidationError(f"line {line_no}, column 2: status must be 0 or 1, got {fields[1]!r}")
     z = [_finite_float(fields[j + 2], line_no, j + 3, f"z{j + 1}") for j in range(p)]
     return [t, float(fields[1]), *z]
 

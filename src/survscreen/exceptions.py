@@ -27,8 +27,8 @@ class ValidationError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Data admits no screening (a zero-variance response component, or a
-    covariate whose utility under either method is not finite: its kernel
-    values, dVar or sd overflow)."""
+    covariate whose utility under either method is not finite, its kernel
+    values, dVar or sd overflowing, or whose sd or dVar underflows)."""
 
 
 class DegenerateStatusError(DegenerateDataError):

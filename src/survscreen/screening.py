@@ -158,7 +158,8 @@ def default_cutoff(n: int) -> int:
 
 
 def standardize_columns(Z: np.ndarray) -> np.ndarray:
-    """Center each column and scale to unit sd; a zero sd leaves it centered, a non-finite one NaN."""
+    """Center each column and scale to unit sd; a zero sd leaves it centered, a non-finite
+    one NaN, and one whose square underflows, in a column that is not constant, -inf."""
     Z = np.asarray(Z, dtype=np.float64)
     mu = Z.mean(axis=0)
     sd = Z.std(axis=0, ddof=1)
@@ -166,6 +167,8 @@ def standardize_columns(Z: np.ndarray) -> np.ndarray:
     nonzero = sd > 0
     out[:, nonzero] /= sd[nonzero]
     out[:, ~np.isfinite(sd)] = np.nan
+    flagged = np.flatnonzero(sd * sd < np.finfo(np.float64).tiny)
+    out[:, flagged[Z[:, flagged].min(axis=0) < Z[:, flagged].max(axis=0)]] = -np.inf
     return out
 
 
@@ -188,8 +191,9 @@ def screen(
     ``method="dc"`` ranks ``dc_utility`` instead and ignores both kernel
     specs. Any method outside ``METHODS``, or a ``d_n`` outside 1..p,
     raises ValueError before any scoring. Under either method, a covariate
-    whose utility is not finite (its kernel values, dVar or sd overflow)
-    raises DegenerateDataError naming it, as z1, z2, ... in column order.
+    whose utility is not finite (its kernel values, dVar or sd overflow), or
+    a column not constant whose sd or dVar underflows, raises
+    DegenerateDataError naming it, as z1, z2, ... in column order.
 
     No covariate Gram is formed, and no standardized copy of the table:
     ``_score_chunks`` copies, standardizes and scores ``CHUNK_COLUMNS``
@@ -231,12 +235,13 @@ def _score_chunks(Z: np.ndarray, score, method: str, standardize_covariates: boo
 
     Each chunk is copied into a C-contiguous (n, w) array, standardized by
     ``standardize_columns`` when asked, and handed to ``score``, which
-    returns w values. A lone column is padded with a zero column, because
-    numpy sums an (m, 1) array over axis 0 pairwise rather than in row
-    order. ``Z`` is only read. From ``SPLIT_ENTRIES`` response-matrix
-    entries swept the chunks go to ``default_jobs()`` forked workers, which
-    inherit the map's silenced floating-point warnings; each value lands at
-    its column's position, so the bits are the serial ones.
+    returns w values; a -inf from either marks a variance that underflows.
+    A lone column is padded with a zero column, because numpy sums an (m, 1)
+    array over axis 0 pairwise rather than in row order. ``Z`` is only read.
+    From ``SPLIT_ENTRIES`` response-matrix entries swept the chunks go to
+    ``default_jobs()`` forked workers, which inherit the map's silenced
+    floating-point warnings; each value lands at its column's position, so
+    the bits are the serial ones.
     """
     n, p = Z.shape
 
@@ -244,15 +249,18 @@ def _score_chunks(Z: np.ndarray, score, method: str, standardize_covariates: boo
         width = min(CHUNK_COLUMNS, p - start)
         z = np.zeros((n, max(2, width)))
         z[:, :width] = Z[:, start : start + width]
-        return score(standardize_columns(z) if standardize_covariates else z)[:width]
+        z = standardize_columns(z) if standardize_covariates else z
+        return np.where(np.isneginf(z[0]), -np.inf, score(z))[:width]
 
     jobs = default_jobs() if n * n * p / 2 >= SPLIT_ENTRIES else 1
     with np.errstate(all="ignore"):  # a non-finite utility is refused below
         omega = np.concatenate(fork_map(chunk, [(s,) for s in range(0, p, CHUNK_COLUMNS)], jobs))
-    overflowed = np.flatnonzero(~np.isfinite(omega))
-    if overflowed.size:
+    if not np.isfinite(omega).all():
+        j = np.flatnonzero(~np.isfinite(omega))[0]
         raise DegenerateDataError(
-            f"the {method.upper()} utility of covariate z{overflowed[0] + 1} is not finite: "
+            f"the variance of covariate z{j + 1} underflows double precision"
+            if omega[j] == -np.inf
+            else f"the {method.upper()} utility of covariate z{j + 1} is not finite: "
             "its values overflow double precision"
         )
     return omega
@@ -295,7 +303,7 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
     and one cumulative sum of the centred column, O(n log n) per column.
     The response's dVar^2 is positive: ``standardize`` refuses constant times.
     Memory is B_c plus a few n x chunk slabs. Returns values in [0, 1], 0 for
-    a zero distance variance; one that overflows raises, as in ``screen``.
+    a constant column; a dVar that over- or underflows raises, as in ``screen``.
     """
     n = data.n
     B = center(np.sqrt(_pairwise(_response(data), np.subtract, np.square)))
@@ -312,6 +320,7 @@ def dc_utility(data: SurvivalDataset, *, standardize_covariates: bool = False) -
         m = (weight * x + c[-1] - 2.0 * c) / n
         dvar_x = 2.0 * x.var(axis=0) - 2.0 * np.square(m).mean(axis=0) + np.square(m.mean(axis=0))
         r = np.where(dvar_x > 0.0, np.sqrt(np.clip(dcov2 / np.sqrt(dvar_x * dvar_y), 0.0, 1.0)), 0.0)
+        r = np.where((dvar_x < np.finfo(np.float64).tiny) & (x[0] < x[-1]), -np.inf, r)
         return np.where(np.isfinite(dvar_x), r, np.nan)  # refused, not ranked last
 
     return _score_chunks(data.covariates, score, "dc", standardize_covariates)

@@ -628,6 +628,11 @@ def _error_fixtures(tmp_path):
         "time,status,z1,z2\n1.0,1,0.1,1e154\n2.0,0,0.2,-1e154\n3.0,1,0.3,1e154\n"
         "4.0,0,0.4,-1e154\n5.0,1,0.5,1e154\n"
     )
+    # z1 is not constant, but its variance (so its sd and its dVar) underflows
+    (tmp_path / "faint.csv").write_text(
+        "time,status,z1,z2\n1.0,1,1e-170,0.1\n2.0,0,2e-170,0.2\n3.0,1,3e-170,0.3\n"
+        "4.0,0,4e-170,0.4\n"
+    )
     (tmp_path / "malformed.csv").write_text("not,a,dataset\n1,2,3\n")
     (tmp_path / "ff.csv").write_bytes(b"time,status,z1\n1.0,1,0.5\xff\n2.0,0,0.1\n3.0,1,0.2\n")
     (tmp_path / "bad.cfg").write_text("model = cox\nn = 50\n")
@@ -676,6 +681,10 @@ CLI_ERRORS = {
     "screen_manifest_in_missing_directory": (
         "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/nodir/m.json", {}, 2, "nodir/m.json"
     ),
+    "screen_manifest_name_too_long": (
+        "screen --input {t}/d.csv --out {t}/o.csv --manifest {t}/" + "m" * 300, {}, 2,
+        "File name too long: '{t}/mmm",
+    ),
     "screen_all_censored": ("screen --input {t}/censored.csv --out {t}/o.csv", {}, 3, None),
     "screen_times_variance_overflows": ("screen --input {t}/huge.csv --out {t}/o.csv", {}, 3, None),
     "screen_times_variance_underflows": (
@@ -695,6 +704,18 @@ CLI_ERRORS = {
     "screen_dc_standardized_overflows": (
         "screen --input {t}/overflow.csv --out {t}/o.csv --method dc --standardize-covariates",
         {}, 3, "DC utility of covariate z2",
+    ),
+    "screen_standardized_variance_underflows": (
+        "screen --input {t}/faint.csv --out {t}/o.csv --standardize-covariates", {}, 3,
+        "the variance of covariate z1 underflows",
+    ),
+    "screen_dc_variance_underflows": (
+        "screen --input {t}/faint.csv --out {t}/o.csv --method dc", {}, 3,
+        "the variance of covariate z1 underflows",
+    ),
+    "screen_dc_standardized_variance_underflows": (
+        "screen --input {t}/faint.csv --out {t}/o.csv --method dc --standardize-covariates", {}, 3,
+        "the variance of covariate z1 underflows",
     ),
     "screen_dn_zero": ("screen --input {t}/d.csv --out {t}/o.csv --dn 0", {}, 4, None),
     "screen_dn_above_p": ("screen --input {t}/d.csv --out {t}/o.csv --dn 6 --method dc", {}, 4, None),
@@ -726,6 +747,10 @@ CLI_ERRORS = {
     "simulate_scenario_not_utf8": ("simulate --scenario {t}/ff.cfg --out-dir {t}/run", {}, 2, "ff.cfg"),
     "simulate_out_dir_is_a_file": (
         "simulate --scenario {t}/s.cfg --out-dir {t}/afile --jobs 1 --replications 1", {}, 2, "afile"
+    ),
+    "simulate_out_dir_name_too_long": (
+        "simulate --scenario {t}/s.cfg --out-dir {t}/new/" + "r" * 300 + "/run", {}, 2,
+        "File name too long: '{t}/new/rrr",
     ),
     "simulate_jobs_zero": ("simulate --scenario {t}/s.cfg --out-dir {t}/run --jobs 0", {}, 4, None),
     "simulate_bad_jobs_env": (
@@ -770,6 +795,9 @@ CLI_ERRORS = {
     "evaluate_out_is_directory": ("evaluate --records {t}/rec.csv --out {t}/adir", {}, 2, "adir"),
     "evaluate_out_in_missing_directory": (
         "evaluate --records {t}/rec.csv --out {t}/nodir/o.csv", {}, 2, "nodir/o.csv"
+    ),
+    "evaluate_out_name_too_long": (
+        "evaluate --records {t}/rec.csv --out {t}/" + "o" * 300, {}, 2, "File name too long"
     ),
     "evaluate_negative_dn": ("evaluate --records {t}/rec.csv --out {t}/o.csv --dn -3", {}, 4, None),
     "no_subcommand": ("", {}, 4, None),
@@ -927,6 +955,37 @@ def test_worker_killed_mid_run_exits_2_and_leaves_no_process(tmp_path, monkeypat
         "survscreen: error: a worker process ended abruptly (killed by a signal or out of memory)"
     ]
     assert not (tmp_path / "run").exists()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("module, name", [(dataio, "_cast_range"), (screening, "_sweep")],
+                         ids=["reader", "scorer"])
+def test_screen_worker_killed_exits_2_and_leaves_no_process(
+    tmp_path, monkeypatch, capsys, module, name
+):
+    # One-byte ranges and the scoring cut at 0, so two workers read this small
+    # file and score its two chunks; the patched stage's workers kill themselves.
+    parent, run = os.getpid(), getattr(module, name)
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(*args)
+
+    write_cox_dataset(tmp_path / "d.csv", n=40, p=screening.CHUNK_COLUMNS + 1)
+    monkeypatch.setattr(module, name, killed)
+    monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
+    monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
+    monkeypatch.setenv("SURVSCREEN_JOBS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["screen", "--input", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "survscreen: error: a worker process ended abruptly (killed by a signal or out of memory)"
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv"]
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -249,6 +249,7 @@ _DEFECTS = {
 }
 
 
+@pytest.mark.usefixtures("reader")  # split, each row is a range that numbers its own line
 @pytest.mark.parametrize("defect", sorted(_DEFECTS))
 def test_read_dataset_error_type_and_message(tmp_path, defect):
     text, kind, message = _DEFECTS[defect]
@@ -341,6 +342,29 @@ class TestReadDatasetOnBothPaths:
                 read_dataset(path)
             assert sorted(os.listdir("/proc/self/fd")) == before
             assert info.type is (KeyboardInterrupt if ending == "interrupted" else ParseError)
+
+
+def test_a_valid_file_that_loadtxt_refuses_counts_no_prefix(tmp_path, monkeypatch):
+    # float() takes "1_0", loadtxt does not, so every range is checked row by
+    # row; only a bad row makes its range count the lines before it.
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([_HEADER] + [f"{t}_0,{t % 2},1_0,2_0,3_0" for t in range(1, 6)]) + "\n")
+    opened, text_lines = [], dataio._text_lines
+
+    def counted(path, *span):
+        opened.append(span)
+        return text_lines(path, *span)
+
+    monkeypatch.setattr(dataio, "_text_lines", counted)
+    monkeypatch.setattr(dataio, "RANGE_BYTES", 1)
+    monkeypatch.setenv(JOBS_ENV_VAR, "1")
+    data = read_dataset(path)
+    assert data.times.tolist() == [10.0, 20.0, 30.0, 40.0, 50.0]
+    assert data.covariates.tolist() == [[10.0, 20.0, 30.0]] * 5
+    # the header, then each of the 6 one-line ranges once, in file order
+    header, *spans = opened
+    assert header == () and len(spans) == 6
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
 
 
 class TestScenarioFile:

@@ -381,6 +381,25 @@ def test_overflowing_covariate_is_refused_from_a_forked_worker(monkeypatch, capf
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "method, standardize_covariates", [("hsic", True), ("dc", False), ("dc", True)]
+)
+def test_covariate_whose_variance_underflows_is_refused_and_a_constant_one_scores_zero(
+    monkeypatch, method, standardize_covariates
+):
+    # z261 lies in the second chunk, scored by a forked worker from the cut at 0.
+    monkeypatch.setenv(workers.JOBS_ENV_VAR, "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(screening, "SPLIT_ENTRIES", 0)
+    data = make_dataset(np.random.default_rng(30), n=40, p=screening.CHUNK_COLUMNS + 10)
+    data.covariates[:, 2] = 1e-170
+    kwargs = dict(method=method, standardize_covariates=standardize_covariates)
+    assert screen(data, **kwargs).omega[2] <= 1e-12  # HSIC sums a constant kernel to roundoff
+    data.covariates[:, 260] *= 1e-170
+    with pytest.raises(DegenerateDataError, match="^the variance of covariate z261 underflows"):
+        screen(data, **kwargs)
+
+
 def test_one_usable_cpu_scores_a_split_sized_screen_in_one_job(monkeypatch):
     # Under `taskset -c 0` the host still has two cores; nothing is forked here.
     monkeypatch.delenv(workers.JOBS_ENV_VAR, raising=False)
